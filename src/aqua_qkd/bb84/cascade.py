@@ -6,8 +6,10 @@ propagates each correction back through every earlier pass whose block
 parities are already on record.  A final verification stage compares random
 subset parities until a configurable run of consecutive matches.
 
-Every parity bit Alice reveals increments the channel's leak accountant;
-permutation announcements carry no key information and are not counted.
+Bob's oracle counts every parity bit Alice reveals, one per response it
+receives; Alice's endpoint charges the same bit to its channel's leak
+accountant.  Permutation announcements carry no key information and are not
+counted.
 """
 
 from __future__ import annotations
@@ -42,74 +44,69 @@ def _unpack_indices(payload: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint32).astype(np.int64)
 
 
+def _answer_frame(key: np.ndarray, msg_type: int, payload: bytes, channel) -> bool:
+    """Alice's answer to one frame from Bob; False once the closing frame arrives.
+
+    Parity and verification requests are answered with the parity of ``key``
+    over the requested indices, charged as one disclosed bit on ``channel``.
+    """
+    if msg_type == MSG_PERMUTATION_SEED:
+        return True  # informational
+    if msg_type not in (MSG_PARITY_REQUEST, MSG_VERIFICATION):
+        raise ProtocolError(f"unexpected message type {msg_type:#x}")
+    if msg_type == MSG_VERIFICATION and not payload:
+        return False
+    parity = int(key[_unpack_indices(payload)].sum() & 1)
+    channel.send(MSG_PARITY_RESPONSE, bytes([parity]), disclosed_bits=1)
+    return True
+
+
 def serve_parity_queries(alice_key, channel) -> None:
     """Answer parity queries over ``channel`` until an empty VERIFICATION frame.
 
-    Used when Alice's endpoint lives behind a byte-stream transport; the
-    in-process path services queries inline instead.
+    Runs Alice's side when her endpoint lives behind a byte-stream transport,
+    typically on its own thread or process.
     """
     key = np.asarray(alice_key, dtype=np.uint8)
-    while True:
-        msg_type, payload = channel.recv()
-        if msg_type == MSG_PERMUTATION_SEED:
-            continue  # informational
-        if msg_type in (MSG_PARITY_REQUEST, MSG_VERIFICATION):
-            if msg_type == MSG_VERIFICATION and not payload:
-                return
-            idx = _unpack_indices(payload)
-            parity = int(key[idx].sum() & 1)
-            channel.send(MSG_PARITY_RESPONSE, bytes([parity]), disclosed_bits=1)
-        else:
-            raise ProtocolError(f"unexpected message type {msg_type:#x}")
+    while _answer_frame(key, *channel.recv(), channel):
+        pass
 
 
-class _PairedOracle:
-    """Parity oracle over an in-process channel pair, serving Alice inline."""
+class _InlineAlice:
+    """Bob's endpoint of an :class:`InProcessChannelPair` with Alice answering inline.
+
+    Alice answers each frame as soon as Bob sends it, so Bob's next receive
+    finds her response waiting and a single thread runs both sides.
+    """
 
     def __init__(self, alice_key: np.ndarray, pair: InProcessChannelPair):
         self._key = alice_key
         self._pair = pair
 
-    def _roundtrip(self, msg_type: int, idx: np.ndarray) -> int:
-        self._pair.bob.send(msg_type, _pack_indices(idx))
-        req_type, payload = self._pair.alice.recv()
-        indices = _unpack_indices(payload)
-        parity = int(self._key[indices].sum() & 1)
-        self._pair.alice.send(MSG_PARITY_RESPONSE, bytes([parity]), disclosed_bits=1)
-        _, resp = self._pair.bob.recv()
-        return resp[0]
+    def send(self, msg_type: int, payload: bytes):
+        self._pair.bob.send(msg_type, payload)
+        _answer_frame(self._key, *self._pair.alice.recv(), self._pair.alice)
 
-    def parity(self, idx: np.ndarray) -> int:
-        return self._roundtrip(MSG_PARITY_REQUEST, idx)
-
-    def verify_parity(self, idx: np.ndarray) -> int:
-        return self._roundtrip(MSG_VERIFICATION, idx)
-
-    def announce_permutation(self, seed: int):
-        self._pair.bob.send(MSG_PERMUTATION_SEED, struct.pack(">Q", seed))
-        self._pair.alice.recv()
-
-    def close(self):
-        pass
-
-    @property
-    def bits_disclosed(self) -> int:
-        return self._pair.bits_disclosed
+    def recv(self) -> tuple[int, bytes]:
+        return self._pair.bob.recv()
 
 
 class RemoteOracle:
-    """Parity oracle over a single framed endpoint; Alice answers remotely."""
+    """Bob's parity oracle over one message endpoint; Alice answers at the other end.
+
+    Counts one disclosed bit per parity response received.
+    """
 
     def __init__(self, channel):
         self._chan = channel
+        self.bits_disclosed = 0
 
     def _roundtrip(self, msg_type: int, idx: np.ndarray) -> int:
         self._chan.send(msg_type, _pack_indices(idx))
         resp_type, payload = self._chan.recv()
         if resp_type != MSG_PARITY_RESPONSE:
             raise ProtocolError(f"expected parity response, got {resp_type:#x}")
-        # Bob's endpoint mirrors the leak accounting of Alice's disclosure.
-        self._chan._accountant.add(1)
+        self.bits_disclosed += 1
         return payload[0]
 
     def parity(self, idx: np.ndarray) -> int:
@@ -123,10 +120,6 @@ class RemoteOracle:
 
     def close(self):
         self._chan.send(MSG_VERIFICATION, b"")
-
-    @property
-    def bits_disclosed(self) -> int:
-        return self._chan.bits_disclosed
 
 
 def _binary_search_flip(bob: np.ndarray, idx: np.ndarray, oracle) -> int:
@@ -240,8 +233,9 @@ def cascade_reconcile(
 ) -> tuple[np.ndarray, int]:
     """Reconcile Bob's key against Alice's; returns (corrected_bob, leaked_bits).
 
-    Alice's key is never modified; all disclosures flow through ``chan``'s
-    leak accountant.
+    Both sides run in-process over ``chan`` (a fresh pair when None), Alice
+    answering inline.  Alice's key is never modified; ``leaked_bits`` counts
+    the parity responses Bob received.
     """
     alice = np.asarray(alice_key, dtype=np.uint8)
     bob = np.asarray(bob_key, dtype=np.uint8)
@@ -249,8 +243,8 @@ def cascade_reconcile(
         raise ProtocolError(f"key length mismatch: {len(alice)} vs {len(bob)}")
     if chan is None:
         chan = InProcessChannelPair()
-    oracle = _PairedOracle(alice, chan)
+    oracle = RemoteOracle(_InlineAlice(alice, chan))
     reconciled = reconcile_with_oracle(
         bob, qber_estimate, oracle, rng, passes=passes, verify_parities=verify_parities
     )
-    return reconciled, chan.bits_disclosed
+    return reconciled, oracle.bits_disclosed

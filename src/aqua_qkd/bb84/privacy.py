@@ -35,7 +35,6 @@ def toeplitz_hash(bits: np.ndarray, output_length: int, seed_bits: np.ndarray) -
 
 def privacy_amplify(
     reconciled,
-    leaked_bits: int,
     rng,
     extraction_ratio: float = DEFAULT_EXTRACTION_RATIO,
     output_length: int | None = None,
@@ -44,11 +43,8 @@ def privacy_amplify(
 
     Output length defaults to floor(extraction_ratio * len(reconciled)),
     clamped to be non-negative; the Toeplitz seed is drawn from ``rng``, so
-    the same seed and input always produce the same output.  ``leaked_bits``
-    is accepted for interface completeness; the length policy is fixed-ratio
-    by design.
+    the same seed and input always produce the same output.
     """
-    del leaked_bits  # length policy is configuration, not inference
     bits = np.asarray(reconciled, dtype=np.uint8)
     n = len(bits)
     if output_length is None:

@@ -13,9 +13,7 @@ same seed use common random numbers and vary smoothly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -44,13 +42,6 @@ class InsufficientKeyError(RuntimeError):
     def __init__(self, message: str, stats: "SessionStats"):
         super().__init__(message)
         self.stats = stats
-
-
-class DetectionOutcome(Enum):
-    NO_CLICK = "no_click"
-    BIT_0 = "bit_0"
-    BIT_1 = "bit_1"
-    DOUBLE = "double"
 
 
 @dataclass(frozen=True)
@@ -128,16 +119,6 @@ class KeyMaterial:
     leaked_bits: int
 
 
-def alice_prepare(n: int, rng) -> tuple[np.ndarray, np.ndarray, list[StokesVector]]:
-    """Uniform random bits and bases with their prepared Stokes vectors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    bases = rng.integers(0, 2, size=n, dtype=np.uint8)
-    states = [STATE_MAP[(int(b), int(x))] for b, x in zip(bases, bits)]
-    return bits, bases, states
-
-
 def _arm_probabilities(state: StokesVector, bob_basis: int, cfg: SessionConfig):
     """Malus projections of the channel output onto Bob's two analyzer arms."""
     out = cfg.channel_mueller.apply(state)
@@ -148,55 +129,6 @@ def _arm_probabilities(state: StokesVector, bob_basis: int, cfg: SessionConfig):
     p1 = 1.0 - p0
     e = cfg.intrinsic_error
     return p0 * (1 - 2 * e) + e, p1 * (1 - 2 * e) + e
-
-
-def _click_prob(p_arm: float, cfg: SessionConfig) -> float:
-    p_signal = 1.0 - math.exp(
-        -cfg.mean_photon_number
-        * cfg.channel_transmission
-        * cfg.detector_efficiency
-        * p_arm
-    )
-    p_noise = cfg.dark_count_prob + cfg.background_prob
-    return 1.0 - (1.0 - p_signal) * (1.0 - p_noise)
-
-
-def detect_pulse(state: StokesVector, bob_basis: int, cfg: SessionConfig, rng) -> DetectionOutcome:
-    """Resolve one received pulse on the two analyzer arms of Bob's basis."""
-    p0, p1 = _arm_probabilities(state, bob_basis, cfg)
-    c0 = rng.random() < _click_prob(p0, cfg)
-    c1 = rng.random() < _click_prob(p1, cfg)
-    if c0 and c1:
-        return DetectionOutcome.DOUBLE
-    if c0:
-        return DetectionOutcome.BIT_0
-    if c1:
-        return DetectionOutcome.BIT_1
-    return DetectionOutcome.NO_CLICK
-
-
-def sift(alice_bases, bob_bases, outcomes, alice_bits, double_rng) -> tuple[np.ndarray, np.ndarray]:
-    """Keep single clicks (and squashed double clicks) with matching bases.
-
-    ``outcomes`` is a sequence of :class:`DetectionOutcome`; double clicks are
-    assigned a random bit drawn from ``double_rng`` and kept.
-    """
-    alice_bases = np.asarray(alice_bases)
-    bob_bases = np.asarray(bob_bases)
-    alice_bits = np.asarray(alice_bits)
-    if not len(alice_bases) == len(bob_bases) == len(outcomes) == len(alice_bits):
-        raise ValueError("input lengths must match")
-    kept_a, kept_b = [], []
-    for a_basis, b_basis, outcome, a_bit in zip(alice_bases, bob_bases, outcomes, alice_bits):
-        if outcome is DetectionOutcome.NO_CLICK or a_basis != b_basis:
-            continue
-        if outcome is DetectionOutcome.DOUBLE:
-            bob_bit = int(double_rng.random() < 0.5)
-        else:
-            bob_bit = 0 if outcome is DetectionOutcome.BIT_0 else 1
-        kept_a.append(int(a_bit))
-        kept_b.append(bob_bit)
-    return np.array(kept_a, dtype=np.uint8), np.array(kept_b, dtype=np.uint8)
 
 
 def compute_qber(sifted_alice, sifted_bob) -> float:
@@ -267,8 +199,13 @@ def _detect_chunk(cfg: SessionConfig, rng, n: int, p0_table: np.ndarray):
     return bits, bases, bob_bases, detected, bob_bits
 
 
-def _detect_vectorized(cfg: SessionConfig, rng):
-    """Vectorized prepare + transmit + detect with a fixed draw schedule."""
+def detect_pulses(cfg: SessionConfig, rng):
+    """Prepare, transmit and detect all ``cfg.n_pulses`` pulses with a fixed draw schedule.
+
+    Returns per-pulse arrays (alice_bits, alice_bases, bob_bases, detected,
+    bob_bits); ``bob_bits`` is meaningful only where ``detected``, and a
+    double click is squashed to a uniformly random bit.
+    """
     # Arm probabilities for the 4 states x 2 measurement bases.
     p0_table = np.empty((2, 2, 2))  # [basis][bit][bob_basis]
     for (basis, bit), state in STATE_MAP.items():
@@ -288,7 +225,7 @@ def _detect_vectorized(cfg: SessionConfig, rng):
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
     """Run a full BB84 session: prepare, detect, sift, reconcile, amplify."""
     rng = np.random.default_rng(cfg.seed)
-    bits, bases, bob_bases, detected, bob_bits = _detect_vectorized(cfg, rng)
+    bits, bases, bob_bases, detected, bob_bits = detect_pulses(cfg, rng)
 
     keep = detected & (bases == bob_bases)
     sifted_alice = bits[keep]
@@ -329,7 +266,7 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
     chan = InProcessChannelPair()
     reconciled, leaked = cascade_reconcile(cascade_alice, cascade_bob, qber_est, chan, rng)
     leaked += leak_from_estimation
-    secret = privacy_amplify(reconciled, leaked, rng, extraction_ratio=cfg.extraction_ratio)
+    secret = privacy_amplify(reconciled, rng, extraction_ratio=cfg.extraction_ratio)
 
     stats = SessionStats(
         qber=qber,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +23,6 @@ from .characterization import (
 )
 from .polarization import MuellerMatrix
 from .transport import BeamParams, ChannelParams, TTHGParams, run_transport
-
-SCENARIOS = ("mueller-estimate", "mc-channel", "bb84-run", "sweep", "jerlov-extrapolate")
 
 SWEEP_CSV_HEADER = (
     "attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,"
@@ -51,6 +50,20 @@ DEFAULT_CHANNEL_LENGTH_M = 2.37
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
+
+
+@contextmanager
+def _reading(what: str):
+    """Report a KeyError, TypeError or ValueError raised while building a
+    scenario's inputs from ``what`` as a :class:`ConfigError`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"invalid {what}: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -157,22 +170,22 @@ def _beam_from_params(params: dict) -> BeamParams:
 
 
 def _session_config(params: dict, seed: int, transmission: float | None = None) -> SessionConfig:
-    merged = dict(CALIBRATED_SESSION)
-    merged.update(params)
-    mueller = merged.pop("channel_mueller", None)
-    if transmission is None:
-        if "channel_transmission" in merged:
-            transmission = merged.pop("channel_transmission")
-        elif "attenuation" in merged:
-            length = merged.pop("length", DEFAULT_CHANNEL_LENGTH_M)
-            transmission = math.exp(-merged.pop("attenuation") * length)
+    with _reading("session parameters"):
+        merged = dict(CALIBRATED_SESSION)
+        merged.update(params)
+        mueller = merged.pop("channel_mueller", None)
+        if transmission is None:
+            if "channel_transmission" in merged:
+                transmission = merged.pop("channel_transmission")
+            elif "attenuation" in merged:
+                length = merged.pop("length", DEFAULT_CHANNEL_LENGTH_M)
+                transmission = math.exp(-merged.pop("attenuation") * length)
+            else:
+                transmission = 1.0
         else:
-            transmission = 1.0
-    else:
-        merged.pop("channel_transmission", None)
-        merged.pop("attenuation", None)
-        merged.pop("length", None)
-    try:
+            merged.pop("channel_transmission", None)
+            merged.pop("attenuation", None)
+            merged.pop("length", None)
         return SessionConfig(
             channel_transmission=transmission,
             channel_mueller=(
@@ -183,39 +196,33 @@ def _session_config(params: dict, seed: int, transmission: float | None = None) 
             seed=seed,
             **merged,
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid session parameters: {exc}") from exc
 
 
 def _run_mc_channel(cfg: ExperimentConfig) -> dict:
     p = cfg.parameters
-    if "channel" not in p:
-        raise ConfigError("mc-channel scenario requires a 'channel' section")
-    channel = _channel_from_params(p["channel"])
-    beam = _beam_from_params(p.get("beam", {}))
-    stats = run_transport(
-        channel,
-        beam,
-        n_photons=int(p.get("n_photons", 1_000_000)),
-        seed=cfg.seed,
-        n_workers=int(p.get("n_workers", 1)),
-    )
+    with _reading("mc-channel parameters"):
+        channel = _channel_from_params(p["channel"])
+        beam = _beam_from_params(p.get("beam", {}))
+        n_photons = int(p.get("n_photons", 1_000_000))
+        n_workers = int(p.get("n_workers", 1))
+    stats = run_transport(channel, beam, n_photons=n_photons, seed=cfg.seed, n_workers=n_workers)
     return stats.to_dict()
 
 
 def _run_mueller_estimate(cfg: ExperimentConfig) -> dict:
     p = cfg.parameters
-    if "measurements_csv" in p:
-        measurements = read_measurements_csv(p["measurements_csv"])
-    elif "measurements" in p:
-        measurements = [
-            PolarimetricMeasurement(
-                theta1=m["theta1_rad"], theta2=m["theta2_rad"], intensity=m["intensity"]
-            )
-            for m in p["measurements"]
-        ]
-    else:
-        raise ConfigError("mueller-estimate requires 'measurements_csv' or 'measurements'")
+    with _reading("mueller-estimate parameters"):
+        if "measurements_csv" in p:
+            measurements = read_measurements_csv(p["measurements_csv"])
+        elif "measurements" in p:
+            measurements = [
+                PolarimetricMeasurement(
+                    theta1=m["theta1_rad"], theta2=m["theta2_rad"], intensity=m["intensity"]
+                )
+                for m in p["measurements"]
+            ]
+        else:
+            raise ConfigError("mueller-estimate requires 'measurements_csv' or 'measurements'")
     return estimate_mueller(measurements).to_dict()
 
 
@@ -230,15 +237,16 @@ def _run_bb84(cfg: ExperimentConfig) -> dict:
 
 def _run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     p = cfg.parameters
-    sweep = p.get("sweep", {})
-    attenuations = sweep.get("attenuations_per_m")
-    if not attenuations:
-        raise ConfigError("sweep scenario requires sweep.attenuations_per_m")
-    if any(b <= a for a, b in zip(attenuations, attenuations[1:])):
-        raise ConfigError("sweep attenuations must be strictly increasing")
-    fraction = sweep.get("absorption_fraction", DEFAULT_ABSORPTION_FRACTION)
-    length = sweep.get("length_m", DEFAULT_CHANNEL_LENGTH_M)
-    session_params = dict(p.get("session", {}))
+    with _reading("sweep parameters"):
+        sweep = p.get("sweep", {})
+        attenuations = sweep.get("attenuations_per_m")
+        if not attenuations:
+            raise ConfigError("sweep scenario requires sweep.attenuations_per_m")
+        if any(b <= a for a, b in zip(attenuations, attenuations[1:])):
+            raise ConfigError("sweep attenuations must be strictly increasing")
+        fraction = sweep.get("absorption_fraction", DEFAULT_ABSORPTION_FRACTION)
+        length = sweep.get("length_m", DEFAULT_CHANNEL_LENGTH_M)
+        session_params = dict(p.get("session", {}))
 
     rows = []
     for attenuation in attenuations:
@@ -263,18 +271,27 @@ def _run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
 
 def _run_jerlov(cfg: ExperimentConfig) -> dict:
     p = cfg.parameters
-    try:
+    with _reading("jerlov-extrapolate parameters"):
         target = p["target_attenuation"]
         reference = p["reference_attenuation"]
         ref_length = p["reference_length"]
-    except KeyError as exc:
-        raise ConfigError(f"jerlov-extrapolate is missing parameter {exc}") from exc
+        equivalent = jerlov_extrapolate(target, reference, ref_length)
     return {
         "target_attenuation_per_m": target,
         "reference_attenuation_per_m": reference,
         "reference_length_m": ref_length,
-        "equivalent_length_m": jerlov_extrapolate(target, reference, ref_length),
+        "equivalent_length_m": equivalent,
     }
+
+
+_RUNNERS = {
+    "mueller-estimate": _run_mueller_estimate,
+    "mc-channel": _run_mc_channel,
+    "bb84-run": _run_bb84,
+    "sweep": _run_sweep,
+    "jerlov-extrapolate": _run_jerlov,
+}
+SCENARIOS = tuple(_RUNNERS)
 
 
 def _render_json(payload) -> str:
@@ -305,18 +322,7 @@ def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
 
     Writes the text to ``output_path`` (or cfg.output_path) when given.
     """
-    if cfg.scenario == "mc-channel":
-        payload = _run_mc_channel(cfg)
-    elif cfg.scenario == "mueller-estimate":
-        payload = _run_mueller_estimate(cfg)
-    elif cfg.scenario == "bb84-run":
-        payload = _run_bb84(cfg)
-    elif cfg.scenario == "sweep":
-        payload = _run_sweep(cfg)
-    elif cfg.scenario == "jerlov-extrapolate":
-        payload = _run_jerlov(cfg)
-    else:  # unreachable; ExperimentConfig validates
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+    payload = _RUNNERS[cfg.scenario](cfg)
 
     if cfg.scenario == "sweep" and cfg.output_format == "csv":
         text = _render_sweep_csv(payload)

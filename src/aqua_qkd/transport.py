@@ -22,8 +22,6 @@ import numpy as np
 
 from . import rngstream
 
-_DIRECTION_TOL = 1e-9
-
 # Per-photon draw-slot layout: 4 slots for the source sample, then a fixed
 # stride of 5 per transport step (path, absorb, lobe choice, cos(theta),
 # azimuth), so a photon's stream never depends on other photons' histories.
@@ -74,6 +72,8 @@ class ChannelParams:
     lateral_bound: float = 1.0
 
     def __post_init__(self):
+        if self.attenuation <= 0:
+            raise ValueError(f"attenuation must be positive, got {self.attenuation}")
         if not 0.0 <= self.absorption <= self.attenuation:
             raise ValueError("need 0 <= absorption <= attenuation")
         if self.length <= 0:
@@ -87,27 +87,7 @@ class ChannelParams:
 
     @property
     def albedo(self) -> float:
-        if self.attenuation == 0:
-            return 0.0
         return 1.0 - self.absorption / self.attenuation
-
-
-@dataclass
-class PhotonState:
-    """One photon history record."""
-
-    position: np.ndarray
-    direction: np.ndarray
-    scatter_count: int = 0
-    alive: bool = True
-    at_exit_plane: bool = False
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > _DIRECTION_TOL:
-            raise ValueError(f"direction must be unit length, |d| = {norm}")
 
 
 @dataclass(frozen=True)
@@ -129,110 +109,15 @@ class TransportStats:
         return asdict(self)
 
 
-def sample_source(beam: BeamParams, rng) -> PhotonState:
-    """Launch one photon from the Gaussian source at the entrance plane.
+def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Launch photons ``ids`` from the Gaussian source at the entrance plane.
 
-    Transverse offsets are normal with sigma = waist_radius / 2 per axis;
-    the direction is tilted by per-axis normal angles with sigma equal to
-    the divergence half-angle, then renormalized.
+    Uses draw slots 0..3 of each photon's substream.  Transverse offsets are
+    normal with sigma = waist_radius / 2 per axis; the direction is tilted by
+    per-axis normal angles with sigma equal to the divergence half-angle, then
+    renormalized.  Returns (positions, directions), each of shape (n, 3).
     """
-    sigma = beam.waist_radius / 2.0
-    x, y = rng.normal(0.0, 1.0, size=2) * sigma if sigma > 0 else (0.0, 0.0)
-    tx, ty = rng.normal(0.0, 1.0, size=2) * beam.divergence_half_angle
-    d = np.array([tx, ty, 1.0])
-    d /= np.linalg.norm(d)
-    return PhotonState(position=np.array([x, y, 0.0]), direction=d)
-
-
-def sample_path_length(attenuation: float, rng) -> float:
-    """Exponential free path: -ln(u) / attenuation with u uniform in (0, 1]."""
-    if attenuation <= 0:
-        raise ValueError(f"attenuation must be positive, got {attenuation}")
-    u = 1.0 - rng.random()  # rng.random() is in [0, 1), so u is in (0, 1]
-    return -math.log(u) / attenuation
-
-
-def _hg_cosine(g: float, u: float) -> float:
-    if abs(g) < 1e-6:
-        return 2.0 * u - 1.0
-    frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u)
-    return (1.0 + g * g - frac * frac) / (2.0 * g)
-
-
-def sample_tthg_cosine(p: TTHGParams, rng) -> float:
-    """Polar scattering cosine from the two-term HG mixture (inverse CDF)."""
-    g = p.g1 if rng.random() < p.alpha else p.g2
-    cos_t = _hg_cosine(g, rng.random())
-    return min(1.0, max(-1.0, cos_t))
-
-
-def _rotate_direction(d: np.ndarray, cos_t: float, phi: float) -> np.ndarray:
-    sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-    ux, uy, uz = d
-    if abs(uz) > 0.99999:
-        new = np.array(
-            [sin_t * math.cos(phi), sin_t * math.sin(phi), math.copysign(cos_t, uz)]
-        )
-    else:
-        den = math.sqrt(1.0 - uz * uz)
-        new = np.array(
-            [
-                sin_t * (ux * uz * math.cos(phi) - uy * math.sin(phi)) / den + ux * cos_t,
-                sin_t * (uy * uz * math.cos(phi) + ux * math.sin(phi)) / den + uy * cos_t,
-                -sin_t * math.cos(phi) * den + uz * cos_t,
-            ]
-        )
-    return new / np.linalg.norm(new)
-
-
-def propagate(photon: PhotonState, ch: ChannelParams, rng, max_events: int = 100_000) -> PhotonState:
-    """Follow one photon until it exits the far plane, is absorbed, or escapes.
-
-    Returns the terminal state: ``at_exit_plane`` is set when the photon
-    reaches z = length (its position lies exactly on the plane); ``alive`` is
-    False for absorbed, backscattered, or laterally escaped photons.
-    """
-    pos = photon.position.copy()
-    d = photon.direction.copy()
-    n_scatter = photon.scatter_count
-    for _ in range(max_events):
-        step = sample_path_length(ch.attenuation, rng)
-        if d[2] > 0:
-            to_exit = (ch.length - pos[2]) / d[2]
-            if to_exit <= step:
-                pos = pos + to_exit * d
-                pos[2] = ch.length
-                return PhotonState(pos, d, n_scatter, alive=True, at_exit_plane=True)
-        pos = pos + step * d
-        if pos[2] < 0 or math.hypot(pos[0], pos[1]) > ch.lateral_bound:
-            return PhotonState(pos, d, n_scatter, alive=False)
-        if rng.random() < ch.absorption / ch.attenuation:
-            return PhotonState(pos, d, n_scatter, alive=False)
-        cos_t = sample_tthg_cosine(ch.phase_fn, rng)
-        phi = 2.0 * math.pi * rng.random()
-        d = _rotate_direction(d, cos_t, phi)
-        n_scatter += 1
-    return PhotonState(pos, d, n_scatter, alive=False)
-
-
-def receiver_accept(photon: PhotonState, ch: ChannelParams) -> bool:
-    """Aperture-and-FOV test for a photon sitting on the exit plane."""
-    if not photon.at_exit_plane:
-        return False
-    r = math.hypot(photon.position[0], photon.position[1])
-    if r > ch.aperture_diameter / 2.0:
-        return False
-    return photon.direction[2] >= math.cos(ch.fov_half_angle)
-
-
-def _simulate_batch(
-    ch: ChannelParams, beam: BeamParams, seed: int, start: int, count: int, max_events: int
-) -> tuple[int, int]:
-    """Vectorized transport of photons [start, start+count); returns
-    (received_unscattered, received_scattered)."""
-    ids = np.arange(start, start + count, dtype=np.uint64)
-
-    # Source sample: slots 0..3.
+    count = len(ids)
     gx, gy = rngstream.normal_pair(seed, ids, np.uint64(0))
     tx, ty = rngstream.normal_pair(seed, ids, np.uint64(2))
     sigma = beam.waist_radius / 2.0
@@ -244,13 +129,76 @@ def _simulate_batch(
     )
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     pos = np.stack([x, y, np.zeros(count)], axis=1)
+    return pos, d
+
+
+def sample_tthg_cosine(p: TTHGParams, u_lobe: np.ndarray, u_cos: np.ndarray) -> np.ndarray:
+    """Polar scattering cosines from the two-term HG mixture (inverse CDF).
+
+    ``u_lobe`` picks the lobe (g1 when below alpha); ``u_cos`` inverts that
+    lobe's CDF.
+    """
+    g = np.where(u_lobe < p.alpha, p.g1, p.g2)
+    near_iso = np.abs(g) < 1e-6
+    frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u_cos)
+    cos_t = np.where(
+        near_iso,
+        2.0 * u_cos - 1.0,
+        (1.0 + g * g - frac * frac) / np.where(near_iso, 1.0, 2.0 * g),
+    )
+    return np.clip(cos_t, -1.0, 1.0)
+
+
+def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Scatter unit directions ``d`` (n, 3) by polar cosine ``cos_t`` and azimuth ``phi``.
+
+    Directions with |uz| > 0.99999 are scattered about the z axis itself,
+    since the general formula divides by sqrt(1 - uz^2); theta is then measured
+    from +z or -z, whichever the photon travels along, so cos_t < 0 reverses
+    it.  The result is renormalized to unit length.
+    """
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    ux, uy, uz = d[:, 0], d[:, 1], d[:, 2]
+    straight = np.abs(uz) > 0.99999
+    den = np.sqrt(np.maximum(1.0 - uz * uz, 1e-30))
+    nx = np.where(
+        straight,
+        sin_t * np.cos(phi),
+        sin_t * (ux * uz * np.cos(phi) - uy * np.sin(phi)) / den + ux * cos_t,
+    )
+    ny = np.where(
+        straight,
+        sin_t * np.sin(phi),
+        sin_t * (uy * uz * np.cos(phi) + ux * np.sin(phi)) / den + uy * cos_t,
+    )
+    nz = np.where(
+        straight,
+        np.copysign(1.0, uz) * cos_t,
+        -sin_t * np.cos(phi) * den + uz * cos_t,
+    )
+    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+    return np.stack([nx / norm, ny / norm, nz / norm], axis=1)
+
+
+def receiver_accepts(x: np.ndarray, y: np.ndarray, dz: np.ndarray, ch: ChannelParams) -> np.ndarray:
+    """Aperture-and-FOV test for photons crossing the exit plane at (x, y)
+    with direction z-component ``dz``."""
+    return (np.hypot(x, y) <= ch.aperture_diameter / 2.0) & (dz >= math.cos(ch.fov_half_angle))
+
+
+def _simulate_batch(
+    ch: ChannelParams, beam: BeamParams, seed: int, start: int, count: int, max_events: int
+) -> tuple[int, int]:
+    """Vectorized transport of photons [start, start+count); returns
+    (received_unscattered, received_scattered)."""
+    ids = np.arange(start, start + count, dtype=np.uint64)
+
+    pos, d = sample_source(beam, seed, ids)
     n_scatter = np.zeros(count, dtype=np.int64)
 
     recv_unscattered = 0
     recv_scattered = 0
     p_absorb = ch.absorption / ch.attenuation
-    cos_fov = math.cos(ch.fov_half_angle)
-    half_ap = ch.aperture_diameter / 2.0
 
     alive = np.ones(count, dtype=bool)
     for step_idx in range(max_events):
@@ -271,7 +219,7 @@ def _simulate_batch(
             t = (ch.length - pos[e, 2]) / d[e, 2]
             xe = pos[e, 0] + t * d[e, 0]
             ye = pos[e, 1] + t * d[e, 1]
-            ok = (np.hypot(xe, ye) <= half_ap) & (d[e, 2] >= cos_fov)
+            ok = receiver_accepts(xe, ye, d[e, 2], ch)
             sc = n_scatter[e] > 0
             recv_scattered += int(np.count_nonzero(ok & sc))
             recv_unscattered += int(np.count_nonzero(ok & ~sc))
@@ -299,40 +247,9 @@ def _simulate_batch(
         u_lobe = rngstream.uniform(seed, scid, base + np.uint64(2))
         u_cos = rngstream.uniform(seed, scid, base + np.uint64(3))
         u_phi = rngstream.uniform(seed, scid, base + np.uint64(4))
-        g = np.where(u_lobe < ch.phase_fn.alpha, ch.phase_fn.g1, ch.phase_fn.g2)
-        near_iso = np.abs(g) < 1e-6
-        frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u_cos)
-        cos_t = np.where(
-            near_iso,
-            2.0 * u_cos - 1.0,
-            (1.0 + g * g - frac * frac) / np.where(near_iso, 1.0, 2.0 * g),
-        )
-        cos_t = np.clip(cos_t, -1.0, 1.0)
-        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        cos_t = sample_tthg_cosine(ch.phase_fn, u_lobe, u_cos)
         phi = 2.0 * np.pi * u_phi
-
-        ux, uy, uz = d[cont, 0], d[cont, 1], d[cont, 2]
-        straight = np.abs(uz) > 0.99999
-        den = np.sqrt(np.maximum(1.0 - uz * uz, 1e-30))
-        nx = np.where(
-            straight,
-            sin_t * np.cos(phi),
-            sin_t * (ux * uz * np.cos(phi) - uy * np.sin(phi)) / den + ux * cos_t,
-        )
-        ny = np.where(
-            straight,
-            sin_t * np.sin(phi),
-            sin_t * (uy * uz * np.cos(phi) + ux * np.sin(phi)) / den + uy * cos_t,
-        )
-        nz = np.where(
-            straight,
-            np.copysign(cos_t, uz),
-            -sin_t * np.cos(phi) * den + uz * cos_t,
-        )
-        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-        d[cont, 0] = nx / norm
-        d[cont, 1] = ny / norm
-        d[cont, 2] = nz / norm
+        d[cont] = rotate_directions(d[cont], cos_t, phi)
         n_scatter[cont] += 1
 
     return recv_unscattered, recv_scattered

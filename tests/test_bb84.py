@@ -8,15 +8,12 @@ from aqua_qkd.bb84.session import (
     BASIS_RECTILINEAR,
     MIN_SIFTED_BITS,
     STATE_MAP,
-    DetectionOutcome,
     InsufficientKeyError,
     SessionConfig,
-    alice_prepare,
     compute_qber,
-    detect_pulse,
+    detect_pulses,
     estimate_qber_disclosed,
     run_session,
-    sift,
     sifted_key_rate,
 )
 from aqua_qkd.polarization import MuellerMatrix, StokesVector
@@ -52,83 +49,67 @@ class TestStateMap:
             assert np.dot(a[1:], b[1:]) == -1.0
 
 
+def detect(cfg: SessionConfig):
+    return detect_pulses(cfg, np.random.default_rng(cfg.seed))
+
+
 class TestAlicePrepare:
     def test_shapes_and_marginals(self):
-        rng = np.random.default_rng(0)
-        bits, bases, states = alice_prepare(20_000, rng)
-        assert len(bits) == len(bases) == len(states) == 20_000
+        bits, bases, bob_bases, detected, bob_bits = detect(quiet_config(n_pulses=20_000))
+        for a in (bits, bases, bob_bases, detected, bob_bits):
+            assert a.shape == (20_000,)
         assert abs(bits.mean() - 0.5) < 0.02
         assert abs(bases.mean() - 0.5) < 0.02
+        assert abs(bob_bases.mean() - 0.5) < 0.02
 
     def test_states_follow_the_map(self):
-        rng = np.random.default_rng(1)
-        bits, bases, states = alice_prepare(100, rng)
-        for bit, basis, state in zip(bits, bases, states):
-            assert state == STATE_MAP[(int(basis), int(bit))]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            alice_prepare(0, np.random.default_rng(0))
+        # Noiseless matched-basis detections reproduce Alice's bit in both
+        # bases, so every (basis, bit) maps to the state Bob's arms resolve.
+        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=20_000, seed=1)
+        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
+        matched = detected & (bases == bob_bases)
+        for basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
+            for bit in (0, 1):
+                sel = matched & (bases == basis) & (bits == bit)
+                assert np.count_nonzero(sel) > 1_000
+                assert np.all(bob_bits[sel] == bit)
 
 
 class TestDetectPulse:
     def test_click_probability_closed_form(self):
         # Matched basis, no noise: the correct arm clicks with
         # 1 - exp(-mu*T*eta) and the wrong arm never does.
-        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0)
-        rng = np.random.default_rng(2)
-        n = 50_000
-        outcomes = [
-            detect_pulse(STATE_MAP[(BASIS_RECTILINEAR, 0)], BASIS_RECTILINEAR, cfg, rng)
-            for _ in range(n)
-        ]
-        clicks = sum(o is DetectionOutcome.BIT_0 for o in outcomes)
-        assert not any(o in (DetectionOutcome.BIT_1, DetectionOutcome.DOUBLE) for o in outcomes)
+        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=100_000, seed=2)
+        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
+        matched = bases == bob_bases
+        n = int(np.count_nonzero(matched))
+        clicks = int(np.count_nonzero(detected[matched]))
+        assert np.all(bob_bits[matched & detected] == bits[matched & detected])
         expected = 1.0 - math.exp(-1.0)
         assert clicks / n == pytest.approx(expected, abs=3 * math.sqrt(expected / n))
 
     def test_conjugate_basis_is_unbiased(self):
-        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0)
-        rng = np.random.default_rng(3)
-        counts = {DetectionOutcome.BIT_0: 0, DetectionOutcome.BIT_1: 0}
-        for _ in range(50_000):
-            o = detect_pulse(STATE_MAP[(BASIS_RECTILINEAR, 0)], BASIS_DIAGONAL, cfg, rng)
-            if o in counts:
-                counts[o] += 1
-        total = sum(counts.values())
-        assert counts[DetectionOutcome.BIT_0] / total == pytest.approx(0.5, abs=0.02)
+        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=100_000, seed=3)
+        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
+        conjugate = detected & (bases != bob_bases)
+        assert np.mean(bob_bits[conjugate] == bits[conjugate]) == pytest.approx(0.5, abs=0.02)
 
     def test_dark_counts_click_without_signal(self):
-        cfg = quiet_config(mean_photon_number=0.0, dark_count_prob=0.3)
-        rng = np.random.default_rng(4)
-        outcomes = [
-            detect_pulse(STATE_MAP[(BASIS_RECTILINEAR, 0)], BASIS_RECTILINEAR, cfg, rng)
-            for _ in range(5_000)
-        ]
-        assert any(o is not DetectionOutcome.NO_CLICK for o in outcomes)
+        # Two arms with p_dark = 0.3 each: P(click) = 1 - 0.7^2 = 0.51.
+        cfg = quiet_config(mean_photon_number=0.0, dark_count_prob=0.3, n_pulses=10_000, seed=4)
+        _, _, _, detected, _ = detect(cfg)
+        assert detected.mean() == pytest.approx(0.51, abs=0.02)
 
 
 class TestSift:
     def test_keeps_matching_bases_with_clicks(self):
-        alice_bases = [0, 0, 1, 1, 0]
-        bob_bases = [0, 1, 1, 1, 0]
-        outcomes = [
-            DetectionOutcome.BIT_1,
-            DetectionOutcome.BIT_0,
-            DetectionOutcome.NO_CLICK,
-            DetectionOutcome.BIT_0,
-            DetectionOutcome.DOUBLE,
-        ]
-        alice_bits = [1, 0, 1, 0, 1]
-        a, b = sift(alice_bases, bob_bases, outcomes, alice_bits, np.random.default_rng(5))
-        # Kept: pulses 0 (match, click), 3 (match, click), 4 (match, double).
-        assert len(a) == len(b) == 3
-        assert list(a) == [1, 0, 1]
-        assert b[0] == 1 and b[1] == 0 and b[2] in (0, 1)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sift([0], [0, 1], [DetectionOutcome.BIT_0], [0], np.random.default_rng(0))
+        cfg = quiet_config(intrinsic_error=0.02, dark_count_prob=1e-3, n_pulses=400_000, seed=5)
+        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
+        _, material = run_session(cfg)
+        keep = detected & (bases == bob_bases)
+        np.testing.assert_array_equal(material.sifted_alice, bits[keep])
+        np.testing.assert_array_equal(material.sifted_bob, bob_bits[keep])
+        np.testing.assert_array_equal(material.raw_bob_bits[~detected], -1)
 
 
 class TestQberAndRate:

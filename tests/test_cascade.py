@@ -12,7 +12,13 @@ from aqua_qkd.bb84.cascade import (
     reconcile_with_oracle,
     serve_parity_queries,
 )
-from aqua_qkd.bb84.classical_channel import FramedStreamChannel, InProcessChannelPair
+from aqua_qkd.bb84.classical_channel import (
+    MSG_PARITY_REQUEST,
+    MSG_PARITY_RESPONSE,
+    MSG_PERMUTATION_SEED,
+    FramedStreamChannel,
+    InProcessChannelPair,
+)
 
 
 def binary_entropy(p: float) -> float:
@@ -137,3 +143,22 @@ class TestRemoteOracle:
             alice_sock.close()
             bob_sock.close()
         assert oracle.bits_disclosed == leaked_local
+
+
+class TestProtocolErrors:
+    def test_alice_rejects_unexpected_frame(self):
+        pair = InProcessChannelPair()
+        pair.bob.send(MSG_PARITY_REQUEST, np.array([0, 1], dtype=np.uint32).tobytes())
+        pair.bob.send(MSG_PARITY_RESPONSE, bytes([1]))
+        with pytest.raises(ProtocolError):
+            serve_parity_queries(np.zeros(8, dtype=np.uint8), pair.alice)
+        # The valid request before the bad frame was answered.
+        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, bytes([0]))
+
+    def test_oracle_rejects_non_response_frame(self):
+        pair = InProcessChannelPair()
+        pair.alice.send(MSG_PERMUTATION_SEED, bytes(8))
+        oracle = RemoteOracle(pair.bob)
+        with pytest.raises(ProtocolError):
+            oracle.parity(np.arange(4))
+        assert oracle.bits_disclosed == 0

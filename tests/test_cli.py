@@ -89,9 +89,30 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["jerlov-extrapolate", "--config", "/no/such/file.json"]) == EXIT_CONFIG
 
-    def test_invalid_parameters(self, tmp_path, capsys):
-        doc = {"scenario": "jerlov-extrapolate", "target_attenuation": 0.03}
-        assert main(["jerlov-extrapolate", "--config", write_config(tmp_path, "c.json", doc)]) == EXIT_CONFIG
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"scenario": "jerlov-extrapolate", "target_attenuation": 0.03},
+            dict(MC_DOC, channel=dict(MC_DOC["channel"], length=-1)),
+            dict(MC_DOC, channel={"attenuation": 0.683, "length": 2.37}),
+            dict(JERLOV_DOC, target_attenuation=0),
+            {
+                "scenario": "mueller-estimate",
+                "measurements": [{"theta1_rad": 0.0, "intensity": 0.5}],
+            },
+        ],
+        ids=[
+            "jerlov-missing-reference",
+            "mc-negative-length",
+            "mc-missing-absorption",
+            "jerlov-zero-target",
+            "mueller-missing-theta2",
+        ],
+    )
+    def test_invalid_parameters(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, "c.json", doc)
+        assert main([doc["scenario"], "--config", path]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_csv_unsupported_for_scalar_scenarios(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", JERLOV_DOC)

@@ -1,0 +1,79 @@
+"""Exact rendered scenario outputs at small sizes.
+
+A refactor that keeps these strings byte-identical keeps the random draw
+schedule and every printed float.  A change that alters them on purpose
+(a new draw schedule, a physics fix) updates them and says why.
+"""
+
+import pytest
+
+from aqua_qkd.experiments import ExperimentConfig, run_scenario
+
+MC_CHANNEL = ExperimentConfig(
+    scenario="mc-channel",
+    seed=42,
+    parameters={
+        "channel": {
+            "absorption": 0.117,
+            "attenuation": 0.683,
+            "length": 2.37,
+            "aperture_diameter": 0.0254,
+            "fov_half_angle": 0.0872665,
+        },
+        "beam": {"waist_radius": 0.0025, "divergence_half_angle": 0.001},
+        "n_photons": 20_000,
+    },
+)
+MC_CHANNEL_OUT = """\
+{
+  "launched": 20000,
+  "received": 3974,
+  "received_unscattered": 3956,
+  "received_scattered": 18,
+  "ballistic_transmission": 0.1978,
+  "scattered_fraction_of_received": 0.00452944
+}
+"""
+
+BB84_RUN = ExperimentConfig(
+    scenario="bb84-run",
+    seed=1,
+    parameters={"session": {"attenuation": 0.683, "length": 2.37, "n_pulses": 1_000_000}},
+)
+BB84_RUN_OUT = """\
+{
+  "qber": 0.0352201,
+  "sifted_rate": 795.0,
+  "secure_rate": 87.0,
+  "detected_pulses": 1651,
+  "sifted_bits": 795,
+  "wrong_bits": 28,
+  "leaked_bits": 265,
+  "secret_bits": 87,
+  "channel_transmission": 0.198154
+}
+"""
+
+SWEEP = ExperimentConfig(
+    scenario="sweep",
+    seed=1,
+    output_format="csv",
+    parameters={
+        "sweep": {"attenuations_per_m": [0.11, 0.68], "length_m": 2.37},
+        "session": {"n_pulses": 1_000_000},
+    },
+)
+SWEEP_OUT = """\
+attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,secure_rate_bps,leaked_bits
+0.11,0.0188433,0.770512,0.0166445,3004,330,488
+0.68,0.116486,0.199568,0.0351759,796,87,266
+"""
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [(MC_CHANNEL, MC_CHANNEL_OUT), (BB84_RUN, BB84_RUN_OUT), (SWEEP, SWEEP_OUT)],
+    ids=["mc-channel", "bb84-run", "sweep"],
+)
+def test_rendered_output_is_pinned(cfg, expected):
+    assert run_scenario(cfg) == expected

@@ -50,27 +50,27 @@ class TestPrivacyAmplify:
     def test_default_extraction_length(self):
         rng = np.random.default_rng(2)
         reconciled = rng.integers(0, 2, 10_000, dtype=np.uint8)
-        secret = privacy_amplify(reconciled, leaked_bits=2000, rng=rng)
+        secret = privacy_amplify(reconciled, rng=rng)
         assert len(secret) == 1100
 
     def test_explicit_output_length(self):
         rng = np.random.default_rng(3)
         reconciled = rng.integers(0, 2, 1000, dtype=np.uint8)
-        assert len(privacy_amplify(reconciled, 0, rng, output_length=64)) == 64
+        assert len(privacy_amplify(reconciled, rng, output_length=64)) == 64
 
     def test_deterministic_for_fixed_rng_state(self):
         reconciled = np.random.default_rng(4).integers(0, 2, 1000, dtype=np.uint8)
-        a = privacy_amplify(reconciled, 0, np.random.default_rng(5))
-        b = privacy_amplify(reconciled, 0, np.random.default_rng(5))
+        a = privacy_amplify(reconciled, np.random.default_rng(5))
+        b = privacy_amplify(reconciled, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
     def test_cannot_stretch_the_key(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros(100, dtype=np.uint8), 0, rng, output_length=101)
+            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, output_length=101)
 
     def test_empty_input_gives_empty_output(self):
-        secret = privacy_amplify(np.zeros(0, dtype=np.uint8), 0, np.random.default_rng(7))
+        secret = privacy_amplify(np.zeros(0, dtype=np.uint8), np.random.default_rng(7))
         assert len(secret) == 0
 
     def test_avalanche_on_input_flip(self):
@@ -90,5 +90,5 @@ class TestPrivacyAmplify:
 
     def test_output_bits_are_binary(self):
         rng = np.random.default_rng(9)
-        secret = privacy_amplify(rng.integers(0, 2, 2000, dtype=np.uint8), 0, rng)
+        secret = privacy_amplify(rng.integers(0, 2, 2000, dtype=np.uint8), rng)
         assert set(np.unique(secret)).issubset({0, 1})

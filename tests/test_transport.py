@@ -6,13 +6,11 @@ import pytest
 from aqua_qkd.transport import (
     BeamParams,
     ChannelParams,
-    PhotonState,
     TTHGParams,
     TransportStats,
-    propagate,
-    receiver_accept,
+    receiver_accepts,
+    rotate_directions,
     run_transport,
-    sample_path_length,
     sample_source,
     sample_tthg_cosine,
 )
@@ -47,10 +45,6 @@ class TestParams:
         with pytest.raises(ValueError):
             BeamParams(waist_radius=0.0)
 
-    def test_photon_direction_must_be_unit(self):
-        with pytest.raises(ValueError):
-            PhotonState(position=np.zeros(3), direction=np.array([0.0, 0.0, 2.0]))
-
     def test_stats_invariants(self):
         with pytest.raises(ValueError):
             TransportStats(
@@ -63,95 +57,120 @@ class TestParams:
             )
 
 
+def uniforms(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).random(n)
+
+
+def unit_directions(n: int, rng) -> np.ndarray:
+    d = rng.normal(size=(n, 3))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
 class TestSampling:
     def test_path_length_mean(self):
-        rng = np.random.default_rng(1)
-        c = 0.683
-        samples = np.array([sample_path_length(c, rng) for _ in range(200_000)])
-        assert samples.mean() == pytest.approx(1.0 / c, rel=0.02)
-        assert samples.min() > 0
+        # In a pure absorber each photon takes one free path, so the fraction
+        # reaching the exit plane is P(path > L) = exp(-c L); at L = 1/c, the
+        # mean free path, that is 1/e.
+        c, n = 0.683, 100_000
+        for mean_paths in (0.5, 1.0, 2.0):
+            ch = ChannelParams(
+                absorption=c,
+                attenuation=c,
+                length=mean_paths / c,
+                aperture_diameter=10.0,
+                fov_half_angle=math.pi / 2,
+            )
+            stats = run_transport(ch, BeamParams(), n, seed=1)
+            p = math.exp(-mean_paths)
+            assert stats.received_scattered == 0
+            assert abs(stats.received / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_path_length_requires_positive_attenuation(self):
+        # Free paths are drawn with mean 1/c, so c = 0 is rejected up front.
         with pytest.raises(ValueError):
-            sample_path_length(0.0, np.random.default_rng(0))
+            ChannelParams(absorption=0.0, attenuation=0.0, length=2.37)
 
     def test_single_lobe_mean_cosine(self):
         # A pure HG lobe has mean cosine exactly g.
-        rng = np.random.default_rng(2)
         p = TTHGParams(alpha=1.0, g1=0.65, g2=0.0)
-        cosines = np.array([sample_tthg_cosine(p, rng) for _ in range(200_000)])
+        cosines = sample_tthg_cosine(p, uniforms(2, 200_000), uniforms(12, 200_000))
         assert cosines.mean() == pytest.approx(0.65, abs=0.005)
         assert np.all(np.abs(cosines) <= 1.0)
 
     def test_mixture_mean_cosine(self):
-        rng = np.random.default_rng(3)
         p = TTHGParams()
         expected = p.alpha * p.g1 + (1 - p.alpha) * p.g2
-        cosines = np.array([sample_tthg_cosine(p, rng) for _ in range(200_000)])
+        cosines = sample_tthg_cosine(p, uniforms(3, 200_000), uniforms(13, 200_000))
         assert cosines.mean() == pytest.approx(expected, abs=0.005)
 
     def test_isotropic_limit(self):
-        rng = np.random.default_rng(4)
         p = TTHGParams(alpha=1.0, g1=0.0, g2=0.0)
-        cosines = np.array([sample_tthg_cosine(p, rng) for _ in range(100_000)])
+        cosines = sample_tthg_cosine(p, uniforms(4, 100_000), uniforms(14, 100_000))
         assert cosines.mean() == pytest.approx(0.0, abs=0.01)
 
     def test_source_statistics(self):
-        rng = np.random.default_rng(5)
         beam = BeamParams(waist_radius=2.5e-3, divergence_half_angle=1e-3)
-        photons = [sample_source(beam, rng) for _ in range(20_000)]
-        x = np.array([p.position[0] for p in photons])
-        assert x.std() == pytest.approx(beam.waist_radius / 2, rel=0.05)
-        assert all(p.position[2] == 0.0 for p in photons)
-        tilt = np.array([math.acos(p.direction[2]) for p in photons])
+        pos, d = sample_source(beam, 5, np.arange(20_000, dtype=np.uint64))
+        assert pos.shape == d.shape == (20_000, 3)
+        assert pos[:, 0].std() == pytest.approx(beam.waist_radius / 2, rel=0.05)
+        assert np.all(pos[:, 2] == 0.0)
+        np.testing.assert_allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
+        tilt = np.arccos(d[:, 2])
         # Two independent normal tilt axes: mean polar tilt = sigma * sqrt(pi/2).
         assert tilt.mean() == pytest.approx(1e-3 * math.sqrt(math.pi / 2), rel=0.05)
 
 
 class TestPropagate:
     def test_directions_stay_unit_after_many_scatters(self):
-        # PhotonState itself validates |direction| = 1 within 1e-9 on build.
         rng = np.random.default_rng(6)
-        ch = ChannelParams(absorption=0.0, attenuation=5.0, length=50.0, lateral_bound=100.0)
-        start = PhotonState(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        for _ in range(20):
-            final = propagate(start, ch, rng, max_events=500)
-            assert abs(np.linalg.norm(final.direction) - 1.0) < 1e-9
+        p = TTHGParams()
+        d = unit_directions(2_000, rng)
+        for _ in range(200):
+            cos_t = sample_tthg_cosine(p, rng.random(len(d)), rng.random(len(d)))
+            d = rotate_directions(d, cos_t, 2.0 * np.pi * rng.random(len(d)))
+            assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) < 1e-9
+
+    def test_rotation_keeps_the_scattering_angle(self):
+        # The new direction makes angle acos(cos_t) with the old one.
+        rng = np.random.default_rng(8)
+        d = unit_directions(5_000, rng)
+        cos_t = 2.0 * rng.random(len(d)) - 1.0
+        new = rotate_directions(d, cos_t, 2.0 * np.pi * rng.random(len(d)))
+        np.testing.assert_allclose(np.sum(d * new, axis=1), cos_t, atol=1e-9)
+
+    @pytest.mark.parametrize("uz", [1.0, 1.0 - 5e-6, -1.0, -(1.0 - 5e-6)])
+    def test_rotation_about_the_z_axis(self, uz):
+        # |uz| > 0.99999 takes the on-axis branch: the polar angle is measured
+        # from the axis on the photon's side, forward or backward.
+        ux = math.sqrt(1.0 - uz * uz)
+        d = np.tile([ux, 0.0, uz], (4, 1))
+        cos_t = np.array([1.0, 0.5, 0.0, -0.8])
+        phi = np.array([0.0, 1.0, 2.0, 3.0])
+        new = rotate_directions(d, cos_t, phi)
+        np.testing.assert_allclose(np.linalg.norm(new, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(new[:, 2], math.copysign(1.0, uz) * cos_t, atol=1e-12)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        np.testing.assert_allclose(new[:, 0], sin_t * np.cos(phi), atol=1e-12)
+        np.testing.assert_allclose(new[:, 1], sin_t * np.sin(phi), atol=1e-12)
 
     def test_exit_plane_flag(self):
-        rng = np.random.default_rng(7)
+        # In a near-vacuum channel every photon reaches the exit plane
+        # unscattered, inside the aperture and the FOV.
         ch = ChannelParams(absorption=0.0, attenuation=1e-6, length=1.0)
-        start = PhotonState(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        final = propagate(start, ch, rng)
-        assert final.at_exit_plane
-        assert final.position[2] == ch.length
-        assert final.scatter_count == 0
-
-    def test_receiver_rejects_off_plane_photon(self):
-        ch = ChannelParams(**WATER)
-        p = PhotonState(position=np.zeros(3), direction=np.array([0.0, 0.0, 1.0]))
-        assert not receiver_accept(p, ch)
+        stats = run_transport(ch, BeamParams(), 5_000, seed=7)
+        assert stats.received_unscattered == stats.launched
+        assert stats.received_scattered == 0
 
     def test_receiver_aperture_and_fov(self):
         ch = ChannelParams(**WATER)
-        on_axis = PhotonState(
-            position=np.array([0.0, 0.0, ch.length]),
-            direction=np.array([0.0, 0.0, 1.0]),
-            at_exit_plane=True,
-        )
-        assert receiver_accept(on_axis, ch)
-        outside = PhotonState(
-            position=np.array([0.05, 0.0, ch.length]),
-            direction=np.array([0.0, 0.0, 1.0]),
-            at_exit_plane=True,
-        )
-        assert not receiver_accept(outside, ch)
-        tilted = PhotonState(
-            position=np.array([0.0, 0.0, ch.length]),
-            direction=np.array([math.sin(0.2), 0.0, math.cos(0.2)]),
-            at_exit_plane=True,
-        )
-        assert not receiver_accept(tilted, ch)
+        tilt = math.cos(0.2)
+        x = np.array([0.0, 0.05, 0.0, 0.0127, 0.0])
+        y = np.zeros(5)
+        dz = np.array([1.0, 1.0, tilt, 1.0, math.cos(ch.fov_half_angle)])
+        accepted = receiver_accepts(x, y, dz, ch)
+        # On axis, outside the aperture, outside the FOV, on the aperture rim,
+        # on the FOV edge.
+        np.testing.assert_array_equal(accepted, [True, False, False, True, True])
 
 
 class TestRunTransport:
