@@ -166,6 +166,16 @@ def reconcile_with_oracle(
             if int(bob[blk].sum() & 1) != a_par:
                 queue.append((q, b))
 
+    def correct(queue: list, upto: int):
+        """Fix the queued blocks, and every block of passes 0..upto a fix flips."""
+        while queue:
+            q, b = queue.pop()
+            blk = pass_blocks[q][b]
+            if int(bob[blk].sum() & 1) == alice_parity[q][b]:
+                continue  # already fixed by an earlier cascade
+            flipped = _binary_search_flip(bob, blk, oracle)
+            enqueue_affected(flipped, upto, queue)
+
     for p in range(passes):
         size = min(n, k1 * (2**p))
         if p == 0:
@@ -188,13 +198,7 @@ def reconcile_with_oracle(
             alice_parity[p][b] = a_par
             if int(bob[blk].sum() & 1) != a_par:
                 queue.append((p, b))
-        while queue:
-            q, b = queue.pop()
-            blk = pass_blocks[q][b]
-            if int(bob[blk].sum() & 1) == alice_parity[q][b]:
-                continue  # already fixed by an earlier cascade
-            flipped = _binary_search_flip(bob, blk, oracle)
-            enqueue_affected(flipped, p, queue)
+        correct(queue, p)
 
     # Verification stage: random subset parities until a clean run.
     consecutive = 0
@@ -207,15 +211,9 @@ def reconcile_with_oracle(
         a_par = oracle.verify_parity(subset)
         if int(bob[subset].sum() & 1) != a_par:
             flipped = _binary_search_flip(bob, subset, oracle)
-            queue: list[tuple[int, int]] = []
+            queue = []
             enqueue_affected(flipped, passes - 1, queue)
-            while queue:
-                q, b = queue.pop()
-                blk = pass_blocks[q][b]
-                if int(bob[blk].sum() & 1) == alice_parity[q][b]:
-                    continue
-                flipped = _binary_search_flip(bob, blk, oracle)
-                enqueue_affected(flipped, passes - 1, queue)
+            correct(queue, passes - 1)
             consecutive = 0
         else:
             consecutive += 1

@@ -13,7 +13,7 @@ same seed use common random numbers and vary smoothly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,13 @@ class InsufficientKeyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SessionConfig:
+    """Source, channel, receiver and post-processing parameters of one session.
+
+    ``sifting_factor`` enters only the analytic :func:`sifted_key_rate`; the
+    simulated sifting is Bob's random basis choice, which matches Alice's
+    with probability 1/2.
+    """
+
     pulse_rate: float = 1e6
     mean_photon_number: float = 0.1
     channel_transmission: float = 1.0
@@ -95,28 +102,15 @@ class SessionStats:
     leaked_bits: int
 
     def to_dict(self) -> dict:
-        return {
-            "qber": self.qber,
-            "sifted_rate": self.sifted_rate,
-            "secure_rate": self.secure_rate,
-            "detected_pulses": self.detected_pulses,
-            "sifted_bits": self.sifted_bits,
-            "wrong_bits": self.wrong_bits,
-            "leaked_bits": self.leaked_bits,
-        }
+        return asdict(self)
 
 
 @dataclass
 class KeyMaterial:
-    raw_alice_bits: np.ndarray
-    raw_alice_bases: np.ndarray
-    raw_bob_bits: np.ndarray  # -1 where no usable click
-    raw_bob_bases: np.ndarray
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
     reconciled: np.ndarray
     secret: np.ndarray
-    leaked_bits: int
 
 
 def _arm_probabilities(state: StokesVector, bob_basis: int, cfg: SessionConfig):
@@ -202,9 +196,11 @@ def _detect_chunk(cfg: SessionConfig, rng, n: int, p0_table: np.ndarray):
 def detect_pulses(cfg: SessionConfig, rng):
     """Prepare, transmit and detect all ``cfg.n_pulses`` pulses with a fixed draw schedule.
 
-    Returns per-pulse arrays (alice_bits, alice_bases, bob_bases, detected,
-    bob_bits); ``bob_bits`` is meaningful only where ``detected``, and a
-    double click is squashed to a uniformly random bit.
+    Yields per-pulse arrays (alice_bits, alice_bases, bob_bases, detected,
+    bob_bits) for each chunk of at most ``_DETECT_CHUNK`` pulses, in pulse
+    order; ``bob_bits`` is meaningful only where ``detected``, and a double
+    click is squashed to a uniformly random bit.  Each chunk draws from
+    ``rng`` as it is produced.
     """
     # Arm probabilities for the 4 states x 2 measurement bases.
     p0_table = np.empty((2, 2, 2))  # [basis][bit][bob_basis]
@@ -213,79 +209,59 @@ def detect_pulses(cfg: SessionConfig, rng):
             p0, _ = _arm_probabilities(state, bob_basis, cfg)
             p0_table[basis, bit, bob_basis] = p0
 
-    chunks = []
     remaining = cfg.n_pulses
     while remaining > 0:
         n = min(remaining, _DETECT_CHUNK)
-        chunks.append(_detect_chunk(cfg, rng, n, p0_table))
+        yield _detect_chunk(cfg, rng, n, p0_table)
         remaining -= n
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
     """Run a full BB84 session: prepare, detect, sift, reconcile, amplify."""
     rng = np.random.default_rng(cfg.seed)
-    bits, bases, bob_bases, detected, bob_bits = detect_pulses(cfg, rng)
+    alice_parts, bob_parts = [], []
+    detected_pulses = 0
+    for bits, bases, bob_bases, detected, bob_bits in detect_pulses(cfg, rng):
+        keep = detected & (bases == bob_bases)
+        alice_parts.append(bits[keep])
+        bob_parts.append(bob_bits[keep])
+        detected_pulses += int(np.count_nonzero(detected))
+    sifted_alice = np.concatenate(alice_parts)
+    sifted_bob = np.concatenate(bob_parts)
 
-    keep = detected & (bases == bob_bases)
-    sifted_alice = bits[keep]
-    sifted_bob = bob_bits[keep]
     duration = cfg.n_pulses / cfg.pulse_rate
-    detected_pulses = int(np.count_nonzero(detected))
-    sifted_bits = int(len(sifted_alice))
-
+    sifted_bits = len(sifted_alice)
+    wrong_bits = int(np.count_nonzero(sifted_alice != sifted_bob))
+    stats = SessionStats(
+        qber=wrong_bits / sifted_bits if sifted_bits else 0.0,
+        sifted_rate=sifted_bits / duration,
+        secure_rate=0.0,
+        detected_pulses=detected_pulses,
+        sifted_bits=sifted_bits,
+        wrong_bits=wrong_bits,
+        leaked_bits=0,
+    )
     if sifted_bits < MIN_SIFTED_BITS:
-        qber = float(np.mean(sifted_alice != sifted_bob)) if sifted_bits else 0.0
-        stats = SessionStats(
-            qber=qber,
-            sifted_rate=sifted_bits / duration,
-            secure_rate=0.0,
-            detected_pulses=detected_pulses,
-            sifted_bits=sifted_bits,
-            wrong_bits=int(np.count_nonzero(sifted_alice != sifted_bob)),
-            leaked_bits=0,
-        )
         raise InsufficientKeyError(
             f"sifted key of {sifted_bits} bits is below the {MIN_SIFTED_BITS}-bit minimum",
             stats,
         )
 
-    qber = compute_qber(sifted_alice, sifted_bob)
-    wrong_bits = int(np.count_nonzero(sifted_alice != sifted_bob))
     leak_from_estimation = 0
-
     cascade_alice, cascade_bob = sifted_alice, sifted_bob
     if cfg.qber_estimation_fraction > 0:
         qber_est, cascade_alice, cascade_bob, leak_from_estimation = estimate_qber_disclosed(
             sifted_alice, sifted_bob, cfg.qber_estimation_fraction, rng
         )
     else:
-        qber_est = qber
+        qber_est = stats.qber
     qber_est = min(0.49, max(qber_est, 1.0 / len(cascade_alice)))
 
     chan = InProcessChannelPair()
     reconciled, leaked = cascade_reconcile(cascade_alice, cascade_bob, qber_est, chan, rng)
-    leaked += leak_from_estimation
     secret = privacy_amplify(reconciled, rng, extraction_ratio=cfg.extraction_ratio)
 
-    stats = SessionStats(
-        qber=qber,
-        sifted_rate=sifted_bits / duration,
-        secure_rate=len(secret) / duration,
-        detected_pulses=detected_pulses,
-        sifted_bits=sifted_bits,
-        wrong_bits=wrong_bits,
-        leaked_bits=leaked,
+    stats = replace(
+        stats, secure_rate=len(secret) / duration, leaked_bits=leaked + leak_from_estimation
     )
-    material = KeyMaterial(
-        raw_alice_bits=bits,
-        raw_alice_bases=bases,
-        raw_bob_bits=np.where(detected, bob_bits.astype(np.int16), -1),
-        raw_bob_bases=bob_bases,
-        sifted_alice=sifted_alice,
-        sifted_bob=sifted_bob,
-        reconciled=reconciled,
-        secret=secret,
-        leaked_bits=leaked,
-    )
-    return stats, material
+    return stats, KeyMaterial(sifted_alice, sifted_bob, reconciled, secret)

@@ -142,33 +142,6 @@ def _round_floats(obj):
     return obj
 
 
-def _channel_from_params(params: dict) -> ChannelParams:
-    phase = params.get("phase_fn", {})
-    kwargs = {
-        "absorption": params["absorption"],
-        "attenuation": params["attenuation"],
-        "length": params["length"],
-        "phase_fn": TTHGParams(
-            alpha=phase.get("alpha", TTHGParams.alpha),
-            g1=phase.get("g1", TTHGParams.g1),
-            g2=phase.get("g2", TTHGParams.g2),
-        ),
-    }
-    for opt in ("aperture_diameter", "fov_half_angle", "lateral_bound"):
-        if opt in params:
-            kwargs[opt] = params[opt]
-    return ChannelParams(**kwargs)
-
-
-def _beam_from_params(params: dict) -> BeamParams:
-    return BeamParams(
-        waist_radius=params.get("waist_radius", BeamParams.waist_radius),
-        divergence_half_angle=params.get(
-            "divergence_half_angle", BeamParams.divergence_half_angle
-        ),
-    )
-
-
 def _session_config(params: dict, seed: int, transmission: float | None = None) -> SessionConfig:
     with _reading("session parameters"):
         merged = dict(CALIBRATED_SESSION)
@@ -201,8 +174,10 @@ def _session_config(params: dict, seed: int, transmission: float | None = None) 
 def _run_mc_channel(cfg: ExperimentConfig) -> dict:
     p = cfg.parameters
     with _reading("mc-channel parameters"):
-        channel = _channel_from_params(p["channel"])
-        beam = _beam_from_params(p.get("beam", {}))
+        ch = dict(p["channel"])
+        phase_fn = TTHGParams(**ch.pop("phase_fn", {}))
+        channel = ChannelParams(phase_fn=phase_fn, **ch)
+        beam = BeamParams(**p.get("beam", {}))
         n_photons = int(p.get("n_photons", 1_000_000))
         n_workers = int(p.get("n_workers", 1))
     stats = run_transport(channel, beam, n_photons=n_photons, seed=cfg.seed, n_workers=n_workers)

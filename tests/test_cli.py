@@ -96,6 +96,9 @@ class TestExitCodes:
             dict(MC_DOC, channel=dict(MC_DOC["channel"], length=-1)),
             dict(MC_DOC, channel={"attenuation": 0.683, "length": 2.37}),
             dict(JERLOV_DOC, target_attenuation=0),
+            dict(MC_DOC, channel=dict(MC_DOC["channel"], aperture_diamter=0.05)),
+            dict(MC_DOC, beam={"waist_radus": 0.001}),
+            dict(MC_DOC, channel=dict(MC_DOC["channel"], phase_fn={"g": 0.9})),
             {
                 "scenario": "mueller-estimate",
                 "measurements": [{"theta1_rad": 0.0, "intensity": 0.5}],
@@ -106,6 +109,9 @@ class TestExitCodes:
             "mc-negative-length",
             "mc-missing-absorption",
             "jerlov-zero-target",
+            "mc-misspelled-channel-key",
+            "mc-misspelled-beam-key",
+            "mc-misspelled-phase-fn-key",
             "mueller-missing-theta2",
         ],
     )

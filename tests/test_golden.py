@@ -1,13 +1,19 @@
-"""Exact rendered scenario outputs at small sizes.
+"""Exact rendered scenario outputs at small sizes, and the keys of one
+multi-chunk session.
 
 A refactor that keeps these strings byte-identical keeps the random draw
 schedule and every printed float.  A change that alters them on purpose
 (a new draw schedule, a physics fix) updates them and says why.
 """
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
-from aqua_qkd.experiments import ExperimentConfig, run_scenario
+from aqua_qkd.bb84.session import SessionConfig, run_session
+from aqua_qkd.experiments import CALIBRATED_SESSION, ExperimentConfig, run_scenario
 
 MC_CHANNEL = ExperimentConfig(
     scenario="mc-channel",
@@ -77,3 +83,17 @@ attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,secure_rate
 )
 def test_rendered_output_is_pinned(cfg, expected):
     assert run_scenario(cfg) == expected
+
+
+# Two full detection chunks plus a tail, so chunk boundaries are covered.
+MULTI_CHUNK_SESSION = SessionConfig(**dict(CALIBRATED_SESSION, n_pulses=4_200_000, seed=1))
+MULTI_CHUNK_SHA256 = "05bc98234af2023605806df72aad9d7d7253726bf1ba75440c5b4705c145c078"
+
+
+def test_multi_chunk_session_is_pinned():
+    stats, material = run_session(MULTI_CHUNK_SESSION)
+    h = hashlib.sha256()
+    for key in (material.sifted_alice, material.sifted_bob, material.reconciled, material.secret):
+        h.update(np.ascontiguousarray(key).tobytes())
+    h.update(json.dumps(stats.to_dict()).encode())
+    assert h.hexdigest() == MULTI_CHUNK_SHA256
