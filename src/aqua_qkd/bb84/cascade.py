@@ -143,7 +143,12 @@ def reconcile_with_oracle(
     passes: int = DEFAULT_PASSES,
     verify_parities: int = DEFAULT_VERIFY_PARITIES,
 ) -> np.ndarray:
-    """Run the multi-pass reconciliation dialogue; returns Bob's corrected key."""
+    """Run the multi-pass reconciliation dialogue; returns Bob's corrected key.
+
+    Raises :class:`ProtocolError` when the verification stage finds no run of
+    ``verify_parities`` matching subset parities within ``8 * verify_parities``
+    checks, rather than return a key it could not confirm.
+    """
     bob = np.array(bob_key, dtype=np.uint8).copy()
     n = len(bob)
     if n < 16:
@@ -203,7 +208,12 @@ def reconcile_with_oracle(
     # Verification stage: random subset parities until a clean run.
     consecutive = 0
     checks = 0
-    while consecutive < verify_parities and checks < 8 * verify_parities:
+    while consecutive < verify_parities:
+        if checks == 8 * verify_parities:
+            raise ProtocolError(
+                f"verification found no run of {verify_parities} matching parities"
+                f" in {checks} checks"
+            )
         subset = np.nonzero(rng.random(n) < 0.5)[0]
         if subset.size == 0:
             continue

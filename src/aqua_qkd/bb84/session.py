@@ -113,16 +113,15 @@ class KeyMaterial:
     secret: np.ndarray
 
 
-def _arm_probabilities(state: StokesVector, bob_basis: int, cfg: SessionConfig):
-    """Malus projections of the channel output onto Bob's two analyzer arms."""
+def _arm0_probability(state: StokesVector, bob_basis: int, cfg: SessionConfig) -> float:
+    """Malus projection of the channel output onto Bob's arm 0; arm 1 gets the rest."""
     out = cfg.channel_mueller.apply(state)
     if out.s0 <= 0:
         raise ValueError("channel extinguishes the state (s0 <= 0)")
     comp = out.s1 if bob_basis == BASIS_RECTILINEAR else out.s2
     p0 = 0.5 * (1.0 + comp / out.s0)
-    p1 = 1.0 - p0
     e = cfg.intrinsic_error
-    return p0 * (1 - 2 * e) + e, p1 * (1 - 2 * e) + e
+    return p0 * (1 - 2 * e) + e
 
 
 def compute_qber(sifted_alice, sifted_bob) -> float:
@@ -169,7 +168,7 @@ def estimate_qber_disclosed(sifted_alice, sifted_bob, fraction: float, rng):
 _DETECT_CHUNK = 1 << 21
 
 
-def _detect_chunk(cfg: SessionConfig, rng, n: int, p0_table: np.ndarray):
+def _detect_chunk(rng, n: int, pc0_table: np.ndarray, pc1_table: np.ndarray):
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     bases = rng.integers(0, 2, size=n, dtype=np.uint8)
     bob_bases = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -177,16 +176,8 @@ def _detect_chunk(cfg: SessionConfig, rng, n: int, p0_table: np.ndarray):
     u1 = rng.random(n)
     u_double = rng.random(n)
 
-    p0 = p0_table[bases, bits, bob_bases]
-    p1 = 1.0 - p0
-
-    mu_eff = cfg.mean_photon_number * cfg.channel_transmission * cfg.detector_efficiency
-    p_noise = cfg.dark_count_prob + cfg.background_prob
-    pc0 = 1.0 - np.exp(-mu_eff * p0) * (1.0 - p_noise)
-    pc1 = 1.0 - np.exp(-mu_eff * p1) * (1.0 - p_noise)
-
-    c0 = u0 < pc0
-    c1 = u1 < pc1
+    c0 = u0 < pc0_table[bases, bits, bob_bases]
+    c1 = u1 < pc1_table[bases, bits, bob_bases]
     detected = c0 | c1
     double = c0 & c1
     bob_bits = np.where(double, (u_double < 0.5).astype(np.uint8), c1.astype(np.uint8))
@@ -202,17 +193,21 @@ def detect_pulses(cfg: SessionConfig, rng):
     click is squashed to a uniformly random bit.  Each chunk draws from
     ``rng`` as it is produced.
     """
-    # Arm probabilities for the 4 states x 2 measurement bases.
+    # Arm-0 probability for the 4 states x 2 measurement bases.
     p0_table = np.empty((2, 2, 2))  # [basis][bit][bob_basis]
     for (basis, bit), state in STATE_MAP.items():
         for bob_basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
-            p0, _ = _arm_probabilities(state, bob_basis, cfg)
-            p0_table[basis, bit, bob_basis] = p0
+            p0_table[basis, bit, bob_basis] = _arm0_probability(state, bob_basis, cfg)
+    # Click probability of each arm, one entry per (basis, bit, bob_basis).
+    mu_eff = cfg.mean_photon_number * cfg.channel_transmission * cfg.detector_efficiency
+    p_noise = cfg.dark_count_prob + cfg.background_prob
+    pc0_table = 1.0 - np.exp(-mu_eff * p0_table) * (1.0 - p_noise)
+    pc1_table = 1.0 - np.exp(-mu_eff * (1.0 - p0_table)) * (1.0 - p_noise)
 
     remaining = cfg.n_pulses
     while remaining > 0:
         n = min(remaining, _DETECT_CHUNK)
-        yield _detect_chunk(cfg, rng, n, p0_table)
+        yield _detect_chunk(rng, n, pc0_table, pc1_table)
         remaining -= n
 
 

@@ -104,6 +104,21 @@ class TestDetectPulse:
         _, _, _, detected, _ = detect(cfg)
         assert detected.mean() == pytest.approx(0.51, abs=0.02)
 
+    def test_chunk_peak_memory_per_pulse(self):
+        # The six per-pulse draws take 27 B; click probabilities are looked up
+        # per pulse, not computed per pulse, so a chunk needs no n-long float
+        # temporaries beyond them.
+        n = 1 << 18
+        cfg = quiet_config(dark_count_prob=1e-3, n_pulses=n, seed=6)
+        chunks = detect_pulses(cfg, np.random.default_rng(cfg.seed))
+        tracemalloc.start()
+        try:
+            next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * n, peak / n
+
 
 class TestSift:
     def test_keeps_matching_bases_with_clicks(self):

@@ -145,7 +145,29 @@ class TestRemoteOracle:
         assert oracle.bits_disclosed == leaked_local
 
 
+class LyingVerifier:
+    """Answers block parities truthfully but every verification parity wrongly."""
+
+    def __init__(self, alice: np.ndarray):
+        self._alice = alice
+
+    def parity(self, idx: np.ndarray) -> int:
+        return int(self._alice[idx].sum() & 1)
+
+    def verify_parity(self, idx: np.ndarray) -> int:
+        return 1 - self.parity(idx)
+
+    def announce_permutation(self, seed: int):
+        pass
+
+
 class TestProtocolErrors:
+    def test_verification_cap_raises(self):
+        rng = np.random.default_rng(11)
+        alice, bob = bsc_pair(rng, 1024, 0.02)
+        with pytest.raises(ProtocolError, match="verification"):
+            reconcile_with_oracle(bob, 0.02, LyingVerifier(alice), rng, verify_parities=8)
+
     def test_alice_rejects_unexpected_frame(self):
         pair = InProcessChannelPair()
         pair.bob.send(MSG_PARITY_REQUEST, np.array([0, 1], dtype=np.uint32).tobytes())

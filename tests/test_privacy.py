@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqua_qkd.bb84.privacy import privacy_amplify, toeplitz_hash
+
+
+def reference_toeplitz_hash(bits, output_length, seed_bits):
+    """The O(n·m) direct convolution the FFT product must reproduce bit for bit."""
+    n = len(bits)
+    conv = np.convolve(np.asarray(seed_bits, np.int64), np.asarray(bits, np.int64)) & 1
+    return conv[n - 1 : n - 1 + output_length].astype(np.uint8)
+
+
+# (n, m) with 1 <= m <= n <= 3000.
+hash_shapes = st.integers(1, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
 
 
 class TestToeplitzHash:
@@ -45,6 +58,42 @@ class TestToeplitzHash:
         # Every row of the all-ones Toeplitz matrix sums the full input.
         np.testing.assert_array_equal(out, np.full(m, n % 2, dtype=np.uint8))
 
+    def test_dense_worst_case_is_exact(self):
+        # All-ones inputs make every output the largest possible count, n = 2^20,
+        # which the FFT product must still round exactly.
+        n, m = 1 << 20, 115_343  # m at the default extraction ratio 0.11
+        out = toeplitz_hash(np.ones(n, dtype=np.uint8), m, np.ones(m + n - 1, dtype=np.uint8))
+        np.testing.assert_array_equal(out, np.full(m, n % 2, dtype=np.uint8))
+
+    @given(hash_shapes, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example((1, 1), 1.0, 0)
+    @example((3000, 3000), 0.5, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_convolution(self, shape, density, seed):
+        n, m = shape
+        rng = np.random.default_rng(seed)
+        bits = (rng.random(n) < density).astype(np.uint8)
+        seed_bits = rng.integers(0, 2, m + n - 1, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            toeplitz_hash(bits, m, seed_bits), reference_toeplitz_hash(bits, m, seed_bits)
+        )
+
+    def test_rounding_guard_rejects_an_inexact_product(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
+        rng = np.random.default_rng(10)
+        n, m = 500, 55
+        with pytest.raises(FloatingPointError):
+            toeplitz_hash(
+                rng.integers(0, 2, n, dtype=np.uint8),
+                m,
+                rng.integers(0, 2, m + n - 1, dtype=np.uint8),
+            )
+
+    def test_negative_output_length(self):
+        with pytest.raises(ValueError):
+            toeplitz_hash(np.ones(8, dtype=np.uint8), -3, np.zeros(4, dtype=np.uint8))
+
 
 class TestPrivacyAmplify:
     def test_default_extraction_length(self):
@@ -68,6 +117,13 @@ class TestPrivacyAmplify:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
             privacy_amplify(np.zeros(100, dtype=np.uint8), rng, output_length=101)
+
+    def test_negative_output_length(self):
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, output_length=-5)
+        assert rng.bit_generator.state == state  # no seed bits were drawn
 
     def test_empty_input_gives_empty_output(self):
         secret = privacy_amplify(np.zeros(0, dtype=np.uint8), np.random.default_rng(7))
