@@ -1,6 +1,7 @@
 """BB84 session engine: preparation, detection, sifting, reconciliation,
 privacy amplification, and the classical-channel plumbing they need."""
 
+from ..characterization import BASIS_DIAGONAL, BASIS_RECTILINEAR, STATE_MAP
 from .cascade import ProtocolError, cascade_reconcile, reconcile_with_oracle, serve_parity_queries
 from .classical_channel import (
     MSG_PARITY_REQUEST,
@@ -15,9 +16,6 @@ from .classical_channel import (
 )
 from .privacy import privacy_amplify, toeplitz_hash
 from .session import (
-    BASIS_DIAGONAL,
-    BASIS_RECTILINEAR,
-    STATE_MAP,
     InsufficientKeyError,
     KeyMaterial,
     SessionConfig,

@@ -17,21 +17,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ..polarization import MuellerMatrix, StokesVector
+from ..characterization import arm0_probabilities
+from ..polarization import MuellerMatrix
 from .cascade import cascade_reconcile
 from .classical_channel import InProcessChannelPair
 from .privacy import privacy_amplify
-
-BASIS_RECTILINEAR = 0
-BASIS_DIAGONAL = 1
-
-# (basis, bit) -> Stokes vector of the prepared state.
-STATE_MAP = {
-    (BASIS_RECTILINEAR, 0): StokesVector(1, 1, 0, 0),
-    (BASIS_RECTILINEAR, 1): StokesVector(1, -1, 0, 0),
-    (BASIS_DIAGONAL, 0): StokesVector(1, 0, 1, 0),
-    (BASIS_DIAGONAL, 1): StokesVector(1, 0, -1, 0),
-}
 
 MIN_SIFTED_BITS = 256
 
@@ -50,7 +40,8 @@ class SessionConfig:
 
     ``sifting_factor`` enters only the analytic :func:`sifted_key_rate`; the
     simulated sifting is Bob's random basis choice, which matches Alice's
-    with probability 1/2.
+    with probability 1/2.  ``channel_mueller`` must send every BB84 state to
+    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`).
     """
 
     pulse_rate: float = 1e6
@@ -89,6 +80,7 @@ class SessionConfig:
             raise ValueError("intrinsic_error must lie in [0, 0.5]")
         if self.sifting_factor <= 0:
             raise ValueError("sifting_factor must be positive")
+        arm0_probabilities(self.channel_mueller)
 
 
 @dataclass(frozen=True)
@@ -111,17 +103,6 @@ class KeyMaterial:
     sifted_bob: np.ndarray
     reconciled: np.ndarray
     secret: np.ndarray
-
-
-def _arm0_probability(state: StokesVector, bob_basis: int, cfg: SessionConfig) -> float:
-    """Malus projection of the channel output onto Bob's arm 0; arm 1 gets the rest."""
-    out = cfg.channel_mueller.apply(state)
-    if out.s0 <= 0:
-        raise ValueError("channel extinguishes the state (s0 <= 0)")
-    comp = out.s1 if bob_basis == BASIS_RECTILINEAR else out.s2
-    p0 = 0.5 * (1.0 + comp / out.s0)
-    e = cfg.intrinsic_error
-    return p0 * (1 - 2 * e) + e
 
 
 def compute_qber(sifted_alice, sifted_bob) -> float:
@@ -193,11 +174,10 @@ def detect_pulses(cfg: SessionConfig, rng):
     click is squashed to a uniformly random bit.  Each chunk draws from
     ``rng`` as it is produced.
     """
-    # Arm-0 probability for the 4 states x 2 measurement bases.
-    p0_table = np.empty((2, 2, 2))  # [basis][bit][bob_basis]
-    for (basis, bit), state in STATE_MAP.items():
-        for bob_basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
-            p0_table[basis, bit, bob_basis] = _arm0_probability(state, bob_basis, cfg)
+    # Arm-0 probability for the 4 states x 2 measurement bases, after the
+    # receiver's intrinsic error e flips a photon between the arms.
+    e = cfg.intrinsic_error
+    p0_table = arm0_probabilities(cfg.channel_mueller) * (1 - 2 * e) + e
     # Click probability of each arm, one entry per (basis, bit, bob_basis).
     mu_eff = cfg.mean_photon_number * cfg.channel_transmission * cfg.detector_efficiency
     p_noise = cfg.dark_count_prob + cfg.background_prob

@@ -5,6 +5,10 @@ both polarizers horizontal and an unpolarized unit-intensity source entering
 P1.  The recorded intensity is linear in the 16 channel-matrix elements, so
 the full {0, pi/8, pi/4, 3pi/8}^2 angle grid yields a well-conditioned 16x16
 linear system solved by least squares.
+
+The module also owns the four BB84 states and their Malus projection through
+a channel matrix onto Bob's two analyzer arms, which both the session's
+detection and :func:`qber_from_mueller` read.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polarization import (
+    PHYSICALITY_TOL,
     MuellerMatrix,
     PhysicalityError,
     StokesVector,
@@ -28,14 +33,18 @@ from .polarization import (
 MEASUREMENT_ANGLES = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
 CONDITION_LIMIT = 1e8
 
-# BB84 signal states at unit intensity, with the analyzer angles of the
-# correct and orthogonal detection arms.
-BB84_STATES = {
-    "H": (StokesVector(1, 1, 0, 0), 0.0, math.pi / 2),
-    "V": (StokesVector(1, -1, 0, 0), math.pi / 2, 0.0),
-    "+45": (StokesVector(1, 0, 1, 0), math.pi / 4, 3 * math.pi / 4),
-    "-45": (StokesVector(1, 0, -1, 0), 3 * math.pi / 4, math.pi / 4),
+BASIS_RECTILINEAR = 0
+BASIS_DIAGONAL = 1
+
+# (basis, bit) -> Stokes vector of the prepared BB84 state.  Bob's arm 0
+# analyzes bit 0's state of his basis (H or +45), arm 1 the orthogonal one.
+STATE_MAP = {
+    (BASIS_RECTILINEAR, 0): StokesVector(1, 1, 0, 0),
+    (BASIS_RECTILINEAR, 1): StokesVector(1, -1, 0, 0),
+    (BASIS_DIAGONAL, 0): StokesVector(1, 0, 1, 0),
+    (BASIS_DIAGONAL, 1): StokesVector(1, 0, -1, 0),
 }
+_STATE_NAMES = ("H", "V", "+45", "-45")
 
 
 class IllConditionedError(ValueError):
@@ -96,6 +105,26 @@ def _design_row(theta1: float, theta2: float) -> np.ndarray:
     return np.outer(_analyzer_row(theta2), _source_column(theta1)).ravel()
 
 
+def _solve_mueller(design: np.ndarray, rhs: np.ndarray, what: str) -> ChannelMuellerEstimate:
+    # Least squares for the 16 row-major channel elements, normalized to m00 = 1.
+    cond = float(np.linalg.cond(design))
+    if cond > CONDITION_LIMIT:
+        raise IllConditionedError(
+            f"{what} does not determine the matrix "
+            f"(condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e})"
+        )
+    sol, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    residual = float(np.linalg.norm(design @ sol - rhs))
+    matrix = sol.reshape(4, 4)
+    if matrix[0, 0] == 0:
+        raise ValueError("recovered matrix has zero total-intensity element")
+    return ChannelMuellerEstimate(
+        matrix=MuellerMatrix(matrix / matrix[0, 0]),
+        condition_number=cond,
+        residual_norm=residual,
+    )
+
+
 def estimate_mueller(measurements) -> ChannelMuellerEstimate:
     """Least-squares recovery of the channel Mueller matrix.
 
@@ -105,28 +134,9 @@ def estimate_mueller(measurements) -> ChannelMuellerEstimate:
     measurements = list(measurements)
     if len(measurements) != 16:
         raise ValueError(f"need 16 measurements, got {len(measurements)}")
-    for m in measurements:
-        if m.intensity < 0:
-            raise ValueError("negative intensity")
     design = np.array([_design_row(m.theta1, m.theta2) for m in measurements])
     intensities = np.array([m.intensity for m in measurements])
-    cond = float(np.linalg.cond(design))
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"design matrix condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e}; "
-            "the angle set does not determine the matrix"
-        )
-    sol, _, _, _ = np.linalg.lstsq(design, intensities, rcond=None)
-    residual = float(np.linalg.norm(design @ sol - intensities))
-    matrix = sol.reshape(4, 4)
-    if matrix[0, 0] == 0:
-        raise ValueError("recovered matrix has zero total-intensity element")
-    matrix = matrix / matrix[0, 0]
-    return ChannelMuellerEstimate(
-        matrix=MuellerMatrix(matrix),
-        condition_number=cond,
-        residual_norm=residual,
-    )
+    return _solve_mueller(design, intensities, "the angle set")
 
 
 def estimate_mueller_from_stokes(pairs) -> ChannelMuellerEstimate:
@@ -138,58 +148,40 @@ def estimate_mueller_from_stokes(pairs) -> ChannelMuellerEstimate:
     pairs = list(pairs)
     if len(pairs) != 4:
         raise ValueError(f"need 4 Stokes pairs, got {len(pairs)}")
-    rows = []
-    rhs = []
-    for s_in, s_out in pairs:
-        a_in = s_in.as_array()
-        a_out = s_out.as_array()
-        for comp in range(4):
-            row = np.zeros(16)
-            row[comp * 4 : comp * 4 + 4] = a_in
-            rows.append(row)
-            rhs.append(a_out[comp])
-    design = np.array(rows)
-    rhs = np.array(rhs)
-    cond = float(np.linalg.cond(design))
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"Stokes input set is degenerate (condition number {cond:.3g})"
+    # Output component k of a pair reads row k of the matrix against S_in.
+    design = np.vstack([np.kron(np.eye(4), s_in.as_array()) for s_in, _ in pairs])
+    rhs = np.concatenate([s_out.as_array() for _, s_out in pairs])
+    return _solve_mueller(design, rhs, "the Stokes input set")
+
+
+def arm0_probabilities(m_w: MuellerMatrix) -> np.ndarray:
+    """Malus projection of each BB84 state through the channel onto Bob's arm 0.
+
+    Returns the ``[basis, bit, bob_basis]`` table of arm-0 probabilities
+    (arm 1 gets the rest): p0 = (1 + s_k / s0) / 2 of the channel output,
+    with k = 1 for the rectilinear analyzer and k = 2 for the diagonal one.
+    Raises :class:`PhysicalityError` if the channel extinguishes a state or
+    a probability leaves [0, 1] by more than ``PHYSICALITY_TOL``.
+    """
+    table = np.empty((2, 2, 2))
+    for (basis, bit), state in STATE_MAP.items():
+        out = m_w.m @ state.as_array()
+        if out[0] <= 0:
+            raise PhysicalityError(f"channel extinguishes the {state} signal state")
+        table[basis, bit] = 0.5 * (1.0 + out[1:3] / out[0])
+    if not np.all(np.abs(table - 0.5) <= 0.5 + PHYSICALITY_TOL):
+        raise PhysicalityError(
+            f"channel sends a signal state to a non-physical output "
+            f"(arm-0 probabilities {table.ravel()})"
         )
-    sol, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    residual = float(np.linalg.norm(design @ sol - rhs))
-    matrix = sol.reshape(4, 4)
-    if matrix[0, 0] == 0:
-        raise ValueError("recovered matrix has zero total-intensity element")
-    matrix = matrix / matrix[0, 0]
-    return ChannelMuellerEstimate(
-        matrix=MuellerMatrix(matrix), condition_number=cond, residual_norm=residual
-    )
-
-
-def _arm_intensity(s: StokesVector, analyzer_angle: float) -> float:
-    out = polarizer_mueller(analyzer_angle).apply(s)
-    if out.s0 < -1e-9:
-        raise PhysicalityError(f"negative analyzer intensity {out.s0}")
-    return max(0.0, out.s0)
+    return table
 
 
 def qber_from_mueller(m_w: MuellerMatrix) -> float:
-    """Mean wrong-detection probability of the four BB84 states.
-
-    Each state is propagated through the channel and projected onto the
-    correct and orthogonal analyzers of its own basis; the wrong-click
-    probability is I_wrong / (I_right + I_wrong), averaged over states.
-    """
-    probs = []
-    for s_in, right, wrong in BB84_STATES.values():
-        s_out = m_w.apply(s_in)
-        i_right = _arm_intensity(s_out, right)
-        i_wrong = _arm_intensity(s_out, wrong)
-        total = i_right + i_wrong
-        if total <= 0:
-            raise PhysicalityError("channel extinguishes a signal state")
-        probs.append(i_wrong / total)
-    return float(np.mean(probs))
+    """Mean wrong-arm probability of the four BB84 states in Bob's matching basis."""
+    p0 = arm0_probabilities(m_w)
+    wrong = [p0[b, bit, b] if bit else 1.0 - p0[b, bit, b] for b, bit in STATE_MAP]
+    return float(np.mean(wrong))
 
 
 @dataclass(frozen=True)
@@ -200,10 +192,10 @@ class FidelityReport:
 
 def channel_fidelity_report(m_w: MuellerMatrix) -> FidelityReport:
     """Fidelity between each BB84 input state and its (normalized) output."""
-    per_state = {}
-    for name, (s_in, _, _) in BB84_STATES.items():
-        s_out = m_w.apply(s_in)
-        per_state[name] = state_fidelity(s_in, s_out)
+    per_state = {
+        name: state_fidelity(s_in, m_w.apply(s_in))
+        for name, s_in in zip(_STATE_NAMES, STATE_MAP.values())
+    }
     return FidelityReport(per_state=per_state, mean=float(np.mean(list(per_state.values()))))
 
 

@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
+        if self.output_format == "csv" and self.scenario != "sweep":
+            raise ConfigError(f"scenario {self.scenario!r} only supports JSON output")
 
 
 @dataclass(frozen=True)
@@ -299,10 +301,8 @@ def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
     """
     payload = _RUNNERS[cfg.scenario](cfg)
 
-    if cfg.scenario == "sweep" and cfg.output_format == "csv":
+    if cfg.output_format == "csv":
         text = _render_sweep_csv(payload)
-    elif cfg.output_format == "csv":
-        raise ConfigError(f"scenario {cfg.scenario!r} only supports JSON output")
     else:
         if cfg.scenario == "sweep":
             payload = [row.__dict__ for row in payload]

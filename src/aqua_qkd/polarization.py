@@ -99,16 +99,6 @@ class WaveplateSpec:
             raise ValueError(f"delta must lie in [0, 2*pi), got {self.delta}")
 
 
-def mueller_apply(m: MuellerMatrix, s: StokesVector) -> StokesVector:
-    """Standard matrix-vector product m . s."""
-    return m.apply(s)
-
-
-def mueller_compose(outer: MuellerMatrix, inner: MuellerMatrix) -> MuellerMatrix:
-    """outer . inner; the rightmost factor acts first on the beam."""
-    return outer @ inner
-
-
 def rotation_mueller(phi: float) -> MuellerMatrix:
     """Stokes frame rotation by angle phi in the (s1, s2) plane."""
     c, s = math.cos(phi), math.sin(phi)

@@ -4,12 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aqua_qkd.bb84 import session
+from aqua_qkd.bb84 import BASIS_DIAGONAL, BASIS_RECTILINEAR, STATE_MAP, session
 from aqua_qkd.bb84.session import (
-    BASIS_DIAGONAL,
-    BASIS_RECTILINEAR,
     MIN_SIFTED_BITS,
-    STATE_MAP,
     InsufficientKeyError,
     SessionConfig,
     compute_qber,
@@ -18,7 +15,15 @@ from aqua_qkd.bb84.session import (
     run_session,
     sifted_key_rate,
 )
-from aqua_qkd.polarization import MuellerMatrix, StokesVector
+from aqua_qkd.characterization import qber_from_mueller
+from aqua_qkd.polarization import (
+    MuellerMatrix,
+    PhysicalityError,
+    StokesVector,
+    WaveplateSpec,
+    rotation_mueller,
+    waveplate_mueller,
+)
 
 
 def quiet_config(**overrides) -> SessionConfig:
@@ -203,6 +208,12 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             quiet_config(pulse_rate=0.0)
 
+    @pytest.mark.parametrize("diag", [(1, 3, 3, 1), (1, -1.5, 0.2, 1), (0, 0, 0, 0)])
+    def test_rejects_non_physical_channel(self, diag):
+        # Arm-0 probabilities 2 and -0.25, and an extinguished state.
+        with pytest.raises(PhysicalityError):
+            quiet_config(channel_mueller=MuellerMatrix(np.diag(diag)))
+
 
 class TestRunSession:
     def test_noiseless_session_has_zero_qber(self):
@@ -271,6 +282,40 @@ class TestRunSession:
         noisy, _ = run_session(quiet_config(seed=6, channel_mueller=depolarizer))
         assert clean.qber == 0.0
         assert noisy.qber == pytest.approx(0.05, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            rotation_mueller(0.2),
+            waveplate_mueller(WaveplateSpec(theta=0.4, delta=0.25)),
+            rotation_mueller(-0.03)
+            @ waveplate_mueller(WaveplateSpec(theta=1.1, delta=0.15))
+            @ MuellerMatrix(np.diag([1.0, 0.95, 0.9, 0.97])),
+            MuellerMatrix(np.diag([1.0, 0.93, 0.97, 0.9]))
+            @ rotation_mueller(0.04)
+            @ waveplate_mueller(WaveplateSpec(theta=2.5, delta=0.3)),
+            # A weak diattenuator: the output intensity s0 differs by state.
+            MuellerMatrix(
+                [[1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, 0.99**0.5, 0], [0, 0, 0, 0.99**0.5]]
+            )
+            @ rotation_mueller(0.15),
+        ],
+        ids=[
+            "rotation",
+            "retarder",
+            "rotation-retarder-depolarizer",
+            "depolarizer-rotation-retarder",
+            "diattenuator-rotation",
+        ],
+    )
+    def test_session_qber_matches_channel_qber(self, channel):
+        # Independent Poisson arms: the first-order terms in mu*T*eta cancel,
+        # so the sifted QBER of a noiseless session is the channel's
+        # wrong-arm probability.
+        expected = qber_from_mueller(channel)
+        stats, _ = run_session(quiet_config(channel_mueller=channel, n_pulses=4_000_000, seed=9))
+        sigma = math.sqrt(expected * (1 - expected) / stats.sifted_bits)
+        assert abs(stats.qber - expected) <= 4 * sigma + 0.01 * expected, (stats.qber, expected)
 
     def test_qber_estimation_fraction_discloses_and_discards(self):
         cfg = quiet_config(intrinsic_error=0.02, seed=7, qber_estimation_fraction=0.1)

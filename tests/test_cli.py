@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from aqua_qkd import experiments
 from aqua_qkd.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from aqua_qkd.experiments import (
     SWEEP_CSV_HEADER,
@@ -103,6 +105,11 @@ class TestExitCodes:
                 "scenario": "mueller-estimate",
                 "measurements": [{"theta1_rad": 0.0, "intensity": 0.5}],
             },
+            {"scenario": "bb84-run", "session": {"channel_mueller": np.diag([1, 3, 3, 1]).tolist()}},
+            {
+                "scenario": "bb84-run",
+                "session": {"channel_mueller": np.diag([1, -1.5, 0.2, 1]).tolist()},
+            },
         ],
         ids=[
             "jerlov-missing-reference",
@@ -113,6 +120,8 @@ class TestExitCodes:
             "mc-misspelled-beam-key",
             "mc-misspelled-phase-fn-key",
             "mueller-missing-theta2",
+            "bb84-overpolarizing-mueller",
+            "bb84-nonphysical-mueller",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):
@@ -123,6 +132,15 @@ class TestExitCodes:
     def test_csv_unsupported_for_scalar_scenarios(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", JERLOV_DOC)
         assert main(["jerlov-extrapolate", "--config", path, "--format", "csv"]) == EXIT_CONFIG
+
+    def test_csv_rejected_before_the_scenario_runs(self, tmp_path, capsys, monkeypatch):
+        def no_transport(*args, **kwargs):
+            raise AssertionError("mc-channel ran before its output format was checked")
+
+        monkeypatch.setattr(experiments, "run_transport", no_transport)
+        path = write_config(tmp_path, "c.json", MC_DOC)
+        assert main(["mc-channel", "--config", path, "--format", "csv"]) == EXIT_CONFIG
+        assert "only supports JSON output" in capsys.readouterr().err
 
     def test_runtime_error(self, tmp_path, capsys):
         # Far too few pulses to build a minimum-length sifted key.

@@ -10,8 +10,6 @@ from aqua_qkd.polarization import (
     PhysicalityError,
     StokesVector,
     WaveplateSpec,
-    mueller_apply,
-    mueller_compose,
     polarizer_mueller,
     quarter_waveplate,
     rotation_mueller,
@@ -100,14 +98,17 @@ class TestMuellerMatrix:
 
     @given(physical_stokes())
     def test_identity_apply_is_exact(self, s):
-        out = mueller_apply(MuellerMatrix.identity(), s)
+        out = MuellerMatrix.identity().apply(s)
         assert out == s
 
     def test_compose_order(self):
+        # outer @ inner: the rightmost factor acts first on the beam.
         pol = polarizer_mueller(0.0)
         rot = rotation_mueller(0.3)
-        composed = mueller_compose(pol, rot)
+        composed = pol @ rot
         np.testing.assert_allclose(composed.m, pol.m @ rot.m)
+        s = StokesVector(1, 0, 1, 0)
+        np.testing.assert_allclose(composed.apply(s).as_array(), pol.apply(rot.apply(s)).as_array())
 
 
 class TestRotation:
