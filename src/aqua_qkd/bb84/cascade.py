@@ -28,7 +28,7 @@ from .classical_channel import (
 )
 
 FIRST_PASS_COEFF = 0.73
-DEFAULT_PASSES = 4
+PASSES = 4
 DEFAULT_VERIFY_PARITIES = 64
 
 
@@ -140,10 +140,9 @@ def reconcile_with_oracle(
     qber_estimate: float,
     oracle,
     rng,
-    passes: int = DEFAULT_PASSES,
     verify_parities: int = DEFAULT_VERIFY_PARITIES,
 ) -> np.ndarray:
-    """Run the multi-pass reconciliation dialogue; returns Bob's corrected key.
+    """Run the ``PASSES``-pass reconciliation dialogue; returns Bob's corrected key.
 
     Raises :class:`ProtocolError` when the verification stage finds no run of
     ``verify_parities`` matching subset parities within ``8 * verify_parities``
@@ -159,16 +158,12 @@ def reconcile_with_oracle(
     k1 = math.ceil(FIRST_PASS_COEFF / qber_estimate)
     pass_blocks: list[list[np.ndarray]] = []
     block_of: list[np.ndarray] = []
-    alice_parity: list[list[int | None]] = []
+    alice_parity: list[list[int]] = []
 
     def enqueue_affected(flipped: int, upto: int, queue: list):
         for q in range(upto + 1):
             b = int(block_of[q][flipped])
-            a_par = alice_parity[q][b]
-            if a_par is None:
-                continue
-            blk = pass_blocks[q][b]
-            if int(bob[blk].sum() & 1) != a_par:
+            if int(bob[pass_blocks[q][b]].sum() & 1) != alice_parity[q][b]:
                 queue.append((q, b))
 
     def correct(queue: list, upto: int):
@@ -181,7 +176,7 @@ def reconcile_with_oracle(
             flipped = _binary_search_flip(bob, blk, oracle)
             enqueue_affected(flipped, upto, queue)
 
-    for p in range(passes):
+    for p in range(PASSES):
         size = min(n, k1 * (2**p))
         if p == 0:
             perm = np.arange(n)
@@ -191,18 +186,15 @@ def reconcile_with_oracle(
             perm = np.random.default_rng(seed).permutation(n)
         blocks = [perm[i : i + size] for i in range(0, n, size)]
         mapping = np.empty(n, dtype=np.int64)
-        for b, blk in enumerate(blocks):
-            mapping[blk] = b
+        mapping[perm] = np.arange(n) // size
+        parities = [oracle.parity(blk) for blk in blocks]
         pass_blocks.append(blocks)
         block_of.append(mapping)
-        alice_parity.append([None] * len(blocks))
+        alice_parity.append(parities)
 
-        queue: list[tuple[int, int]] = []
-        for b, blk in enumerate(blocks):
-            a_par = oracle.parity(blk)
-            alice_parity[p][b] = a_par
-            if int(bob[blk].sum() & 1) != a_par:
-                queue.append((p, b))
+        queue = [
+            (p, b) for b, blk in enumerate(blocks) if int(bob[blk].sum() & 1) != parities[b]
+        ]
         correct(queue, p)
 
     # Verification stage: random subset parities until a clean run.
@@ -222,8 +214,8 @@ def reconcile_with_oracle(
         if int(bob[subset].sum() & 1) != a_par:
             flipped = _binary_search_flip(bob, subset, oracle)
             queue = []
-            enqueue_affected(flipped, passes - 1, queue)
-            correct(queue, passes - 1)
+            enqueue_affected(flipped, PASSES - 1, queue)
+            correct(queue, PASSES - 1)
             consecutive = 0
         else:
             consecutive += 1
@@ -236,8 +228,6 @@ def cascade_reconcile(
     qber_estimate: float,
     chan: InProcessChannelPair | None,
     rng,
-    passes: int = DEFAULT_PASSES,
-    verify_parities: int = DEFAULT_VERIFY_PARITIES,
 ) -> tuple[np.ndarray, int]:
     """Reconcile Bob's key against Alice's; returns (corrected_bob, leaked_bits).
 
@@ -252,7 +242,4 @@ def cascade_reconcile(
     if chan is None:
         chan = InProcessChannelPair()
     oracle = RemoteOracle(_InlineAlice(alice, chan))
-    reconciled = reconcile_with_oracle(
-        bob, qber_estimate, oracle, rng, passes=passes, verify_parities=verify_parities
-    )
-    return reconciled, oracle.bits_disclosed
+    return reconcile_with_oracle(bob, qber_estimate, oracle, rng), oracle.bits_disclosed

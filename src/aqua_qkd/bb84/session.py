@@ -41,7 +41,9 @@ class SessionConfig:
     ``sifting_factor`` enters only the analytic :func:`sifted_key_rate`; the
     simulated sifting is Bob's random basis choice, which matches Alice's
     with probability 1/2.  ``channel_mueller`` must send every BB84 state to
-    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`).
+    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`);
+    each state's output intensity s0 scales its mean photon number, and
+    ``channel_transmission`` applies on top.
     """
 
     pulse_rate: float = 1e6
@@ -177,9 +179,13 @@ def detect_pulses(cfg: SessionConfig, rng):
     # Arm-0 probability for the 4 states x 2 measurement bases, after the
     # receiver's intrinsic error e flips a photon between the arms.
     e = cfg.intrinsic_error
-    p0_table = arm0_probabilities(cfg.channel_mueller) * (1 - 2 * e) + e
+    p0_table, s0 = arm0_probabilities(cfg.channel_mueller)
+    p0_table = p0_table * (1 - 2 * e) + e
     # Click probability of each arm, one entry per (basis, bit, bob_basis).
+    # Each state's detected mean photon number is scaled by its channel
+    # output intensity s0, on top of the loss factor.
     mu_eff = cfg.mean_photon_number * cfg.channel_transmission * cfg.detector_efficiency
+    mu_eff = mu_eff * s0[:, :, None]
     p_noise = cfg.dark_count_prob + cfg.background_prob
     pc0_table = 1.0 - np.exp(-mu_eff * p0_table) * (1.0 - p_noise)
     pc1_table = 1.0 - np.exp(-mu_eff * (1.0 - p0_table)) * (1.0 - p_noise)

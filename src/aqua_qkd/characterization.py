@@ -154,32 +154,36 @@ def estimate_mueller_from_stokes(pairs) -> ChannelMuellerEstimate:
     return _solve_mueller(design, rhs, "the Stokes input set")
 
 
-def arm0_probabilities(m_w: MuellerMatrix) -> np.ndarray:
+def arm0_probabilities(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Malus projection of each BB84 state through the channel onto Bob's arm 0.
 
     Returns the ``[basis, bit, bob_basis]`` table of arm-0 probabilities
     (arm 1 gets the rest): p0 = (1 + s_k / s0) / 2 of the channel output,
-    with k = 1 for the rectilinear analyzer and k = 2 for the diagonal one.
-    Raises :class:`PhysicalityError` if the channel extinguishes a state or
-    a probability leaves [0, 1] by more than ``PHYSICALITY_TOL``.
+    with k = 1 for the rectilinear analyzer and k = 2 for the diagonal one;
+    and the ``[basis, bit]`` table of the output intensities s0 of the
+    unit-intensity input states.  Raises :class:`PhysicalityError` if the
+    channel extinguishes a state or a probability leaves [0, 1] by more than
+    ``PHYSICALITY_TOL``.
     """
     table = np.empty((2, 2, 2))
+    s0 = np.empty((2, 2))
     for (basis, bit), state in STATE_MAP.items():
         out = m_w.m @ state.as_array()
         if out[0] <= 0:
             raise PhysicalityError(f"channel extinguishes the {state} signal state")
+        s0[basis, bit] = out[0]
         table[basis, bit] = 0.5 * (1.0 + out[1:3] / out[0])
     if not np.all(np.abs(table - 0.5) <= 0.5 + PHYSICALITY_TOL):
         raise PhysicalityError(
             f"channel sends a signal state to a non-physical output "
             f"(arm-0 probabilities {table.ravel()})"
         )
-    return table
+    return table, s0
 
 
 def qber_from_mueller(m_w: MuellerMatrix) -> float:
     """Mean wrong-arm probability of the four BB84 states in Bob's matching basis."""
-    p0 = arm0_probabilities(m_w)
+    p0, _ = arm0_probabilities(m_w)
     wrong = [p0[b, bit, b] if bit else 1.0 - p0[b, bit, b] for b, bit in STATE_MAP]
     return float(np.mean(wrong))
 

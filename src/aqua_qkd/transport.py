@@ -14,6 +14,7 @@ fixed (seed, n_photons) regardless of batching or worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -27,6 +28,9 @@ from . import rngstream
 # azimuth), so a photon's stream never depends on other photons' histories.
 _SOURCE_SLOTS = 4
 _STEP_STRIDE = 5
+# Photons per batch (one worker task), and the event cap per photon history.
+_BATCH = 262_144
+_MAX_EVENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -187,108 +191,79 @@ def receiver_accepts(x: np.ndarray, y: np.ndarray, dz: np.ndarray, ch: ChannelPa
 
 
 def _simulate_batch(
-    ch: ChannelParams, beam: BeamParams, seed: int, start: int, count: int, max_events: int
+    ch: ChannelParams, beam: BeamParams, seed: int, start: int, count: int
 ) -> tuple[int, int]:
     """Vectorized transport of photons [start, start+count); returns
-    (received_unscattered, received_scattered)."""
+    (received_unscattered, received_scattered).
+
+    Only photons still in flight are kept.  Every event either ends a photon
+    (exit through the far plane, backward or lateral loss, absorption) or
+    scatters it, so the photons in flight at event k have scattered exactly
+    k times.
+    """
     ids = np.arange(start, start + count, dtype=np.uint64)
-
     pos, d = sample_source(beam, seed, ids)
-    n_scatter = np.zeros(count, dtype=np.int64)
 
-    recv_unscattered = 0
-    recv_scattered = 0
+    received = [0, 0]  # [unscattered, scattered], indexed by step_idx > 0
     p_absorb = ch.absorption / ch.attenuation
 
-    alive = np.ones(count, dtype=bool)
-    for step_idx in range(max_events):
-        if not alive.any():
+    for step_idx in range(_MAX_EVENTS):
+        if ids.size == 0:
             break
-        idx = np.nonzero(alive)[0]
-        sid = ids[idx]
         base = np.uint64(_SOURCE_SLOTS + _STEP_STRIDE * step_idx)
+        step = -np.log(rngstream.uniform(seed, ids, base)) / ch.attenuation
 
-        u_path = rngstream.uniform(seed, sid, base)
-        step = -np.log(u_path) / ch.attenuation
-
-        p = pos[idx]
-        dd = d[idx]
-        exiting = (dd[:, 2] > 0) & ((ch.length - p[:, 2]) / np.where(dd[:, 2] > 0, dd[:, 2], 1.0) <= step)
+        dz = d[:, 2]
+        exiting = (dz > 0) & ((ch.length - pos[:, 2]) / np.where(dz > 0, dz, 1.0) <= step)
         if exiting.any():
-            e = idx[exiting]
-            t = (ch.length - pos[e, 2]) / d[e, 2]
-            xe = pos[e, 0] + t * d[e, 0]
-            ye = pos[e, 1] + t * d[e, 1]
-            ok = receiver_accepts(xe, ye, d[e, 2], ch)
-            sc = n_scatter[e] > 0
-            recv_scattered += int(np.count_nonzero(ok & sc))
-            recv_unscattered += int(np.count_nonzero(ok & ~sc))
-            alive[e] = False
+            pe, de = pos[exiting], d[exiting]
+            t = (ch.length - pe[:, 2]) / de[:, 2]
+            ok = receiver_accepts(pe[:, 0] + t * de[:, 0], pe[:, 1] + t * de[:, 1], de[:, 2], ch)
+            received[step_idx > 0] += int(np.count_nonzero(ok))
 
-        cont = idx[~exiting]
-        if cont.size == 0:
-            continue
-        pos[cont] += step[~exiting, None] * d[cont]
-        lost = (pos[cont, 2] < 0) | (np.hypot(pos[cont, 0], pos[cont, 1]) > ch.lateral_bound)
-        alive[cont[lost]] = False
-        cont = cont[~lost]
-        if cont.size == 0:
-            continue
+        pos += step[:, None] * d
+        gone = exiting | (pos[:, 2] < 0) | (np.hypot(pos[:, 0], pos[:, 1]) > ch.lateral_bound)
+        ids, pos, d = ids[~gone], pos[~gone], d[~gone]
+        if ids.size == 0:
+            break
 
-        scid = ids[cont]
-        u_abs = rngstream.uniform(seed, scid, base + np.uint64(1))
-        absorbed = u_abs < p_absorb
-        alive[cont[absorbed]] = False
-        cont = cont[~absorbed]
-        if cont.size == 0:
-            continue
+        kept = rngstream.uniform(seed, ids, base + np.uint64(1)) >= p_absorb
+        ids, pos, d = ids[kept], pos[kept], d[kept]
+        if ids.size == 0:
+            break
 
-        scid = ids[cont]
-        u_lobe = rngstream.uniform(seed, scid, base + np.uint64(2))
-        u_cos = rngstream.uniform(seed, scid, base + np.uint64(3))
-        u_phi = rngstream.uniform(seed, scid, base + np.uint64(4))
+        u_lobe = rngstream.uniform(seed, ids, base + np.uint64(2))
+        u_cos = rngstream.uniform(seed, ids, base + np.uint64(3))
+        u_phi = rngstream.uniform(seed, ids, base + np.uint64(4))
         cos_t = sample_tthg_cosine(ch.phase_fn, u_lobe, u_cos)
-        phi = 2.0 * np.pi * u_phi
-        d[cont] = rotate_directions(d[cont], cos_t, phi)
-        n_scatter[cont] += 1
+        d = rotate_directions(d, cos_t, 2.0 * np.pi * u_phi)
 
-    return recv_unscattered, recv_scattered
+    return received[0], received[1]
 
 
 def run_transport(
-    ch: ChannelParams,
-    beam: BeamParams,
-    n_photons: int,
-    seed: int,
-    n_workers: int = 1,
-    batch_size: int = 262_144,
-    max_events: int = 10_000,
+    ch: ChannelParams, beam: BeamParams, n_photons: int, seed: int, n_workers: int = 1
 ) -> TransportStats:
     """Simulate ``n_photons`` independent histories and aggregate receiver counts.
 
-    Deterministic for fixed (seed, n_photons): every photon index owns its own
-    counter-based substream, and batch/worker partitioning only changes the
-    order of commutative integer sums.
+    Photons run in batches of ``_BATCH``, over ``n_workers`` processes when
+    there is more than one batch.  Deterministic for fixed (seed, n_photons):
+    every photon index owns its own counter-based substream, and batch/worker
+    partitioning only changes the order of commutative integer sums.  A photon
+    still in flight after ``_MAX_EVENTS`` events is not counted as received.
     """
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")
-    batches = [
-        (start, min(batch_size, n_photons - start))
-        for start in range(0, n_photons, batch_size)
-    ]
-    if n_workers > 1 and len(batches) > 1:
+    starts = range(0, n_photons, _BATCH)
+    counts = [min(_BATCH, n_photons - s) for s in starts]
+    simulate = functools.partial(_simulate_batch, ch, beam, seed)
+    if n_workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(
-                pool.map(
-                    _batch_worker,
-                    [(ch, beam, seed, s, c, max_events) for s, c in batches],
-                )
-            )
+            results = list(pool.map(simulate, starts, counts))
     else:
-        results = [_simulate_batch(ch, beam, seed, s, c, max_events) for s, c in batches]
+        results = list(map(simulate, starts, counts))
 
-    unscattered = sum(r[0] for r in results)
-    scattered = sum(r[1] for r in results)
+    unscattered, scattered = map(sum, zip(*results))
     received = unscattered + scattered
     return TransportStats(
         launched=n_photons,
@@ -298,7 +273,3 @@ def run_transport(
         ballistic_transmission=unscattered / n_photons,
         scattered_fraction_of_received=(scattered / received) if received else 0.0,
     )
-
-
-def _batch_worker(args):
-    return _simulate_batch(*args)

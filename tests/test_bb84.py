@@ -317,6 +317,33 @@ class TestRunSession:
         sigma = math.sqrt(expected * (1 - expected) / stats.sifted_bits)
         assert abs(stats.qber - expected) <= 4 * sigma + 0.01 * expected, (stats.qber, expected)
 
+    def test_channel_output_intensity_scales_detection(self):
+        # Noiseless arms: a pulse of state (basis, bit) is detected with
+        # 1 - exp(-mu*T*eta*s0), s0 being that state's channel output intensity.
+        mu_eta = 0.1 * 0.077
+        stats, _ = run_session(
+            quiet_config(channel_mueller=MuellerMatrix(0.5 * np.eye(4)), n_pulses=1_000_000, seed=3)
+        )
+        p = 1.0 - math.exp(-mu_eta * 0.5)
+        sigma = math.sqrt(1_000_000 * p * (1 - p))
+        assert abs(stats.detected_pulses - 1_000_000 * p) <= 4 * sigma, stats.detected_pulses
+
+        # A diattenuator passes H with s0 = 1.5 and V with s0 = 0.5.
+        d = 0.5
+        r = (1 - d * d) ** 0.5
+        diattenuator = MuellerMatrix([[1, d, 0, 0], [d, 1, 0, 0], [0, 0, r, 0], [0, 0, 0, r]])
+        bits, bases, _, detected, _ = detect(
+            quiet_config(channel_mueller=diattenuator, n_pulses=1_000_000, seed=4)
+        )
+        clicks = []
+        for bit, s0 in ((0, 1 + d), (1, 1 - d)):
+            sent = (bases == BASIS_RECTILINEAR) & (bits == bit)
+            n = int(np.count_nonzero(sent))
+            p = 1.0 - math.exp(-mu_eta * s0)
+            clicks.append(int(np.count_nonzero(detected[sent])))
+            assert abs(clicks[-1] - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (bit, clicks, n * p)
+        assert clicks[0] > clicks[1]
+
     def test_qber_estimation_fraction_discloses_and_discards(self):
         cfg = quiet_config(intrinsic_error=0.02, seed=7, qber_estimation_fraction=0.1)
         stats, material = run_session(cfg)

@@ -6,12 +6,14 @@ schedule and every printed float.  A change that alters them on purpose
 (a new draw schedule, a physics fix) updates them and says why.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from aqua_qkd import rngstream
 from aqua_qkd.bb84.session import SessionConfig, run_session
 from aqua_qkd.experiments import CALIBRATED_SESSION, ExperimentConfig, run_scenario
 
@@ -38,6 +40,21 @@ MC_CHANNEL_OUT = """\
   "received_scattered": 18,
   "ballistic_transmission": 0.1978,
   "scattered_fraction_of_received": 0.00452944
+}
+"""
+
+# Two transport batches with a ragged tail, on two worker processes.
+MC_CHANNEL_POOLED = dataclasses.replace(
+    MC_CHANNEL, parameters=dict(MC_CHANNEL.parameters, n_photons=300_000, n_workers=2)
+)
+MC_CHANNEL_POOLED_OUT = """\
+{
+  "launched": 300000,
+  "received": 59448,
+  "received_unscattered": 59205,
+  "received_scattered": 243,
+  "ballistic_transmission": 0.19735,
+  "scattered_fraction_of_received": 0.00408761
 }
 """
 
@@ -78,11 +95,34 @@ attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,secure_rate
 
 @pytest.mark.parametrize(
     "cfg, expected",
-    [(MC_CHANNEL, MC_CHANNEL_OUT), (BB84_RUN, BB84_RUN_OUT), (SWEEP, SWEEP_OUT)],
-    ids=["mc-channel", "bb84-run", "sweep"],
+    [
+        (MC_CHANNEL, MC_CHANNEL_OUT),
+        (MC_CHANNEL_POOLED, MC_CHANNEL_POOLED_OUT),
+        (BB84_RUN, BB84_RUN_OUT),
+        (SWEEP, SWEEP_OUT),
+    ],
+    ids=["mc-channel", "mc-channel-pooled", "bb84-run", "sweep"],
 )
 def test_rendered_output_is_pinned(cfg, expected):
     assert run_scenario(cfg) == expected
+
+
+def test_mc_channel_draw_budget(monkeypatch):
+    """The transport draws each uniform it needs once, and none for photons
+    that have already left: the pinned output alone would not show extra
+    draws, since every draw is a pure function of its counter."""
+    sizes = []
+    real = rngstream.uniform
+
+    def counting(seed, stream, counter):
+        out = real(seed, stream, counter)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(rngstream, "uniform", counting)
+    assert run_scenario(MC_CHANNEL) == MC_CHANNEL_OUT
+    assert sum(sizes) == 219_197
+    assert min(sizes) > 0
 
 
 # Two full detection chunks plus a tail, so chunk boundaries are covered.

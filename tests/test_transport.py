@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aqua_qkd import transport
 from aqua_qkd.transport import (
     BeamParams,
     ChannelParams,
@@ -198,18 +199,21 @@ class TestRunTransport:
         assert stats.received == stats.received_unscattered + stats.received_scattered
         assert stats.received <= stats.launched
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         ch = ChannelParams(**WATER)
         beam = BeamParams()
-        serial = run_transport(ch, beam, 60_000, seed=5, n_workers=1, batch_size=16_384)
-        parallel = run_transport(ch, beam, 60_000, seed=5, n_workers=3, batch_size=16_384)
+        monkeypatch.setattr(transport, "_BATCH", 16_384)
+        serial = run_transport(ch, beam, 60_000, seed=5, n_workers=1)
+        parallel = run_transport(ch, beam, 60_000, seed=5, n_workers=3)
         assert serial == parallel
 
-    def test_batch_size_invariance(self):
+    def test_batch_size_invariance(self, monkeypatch):
         ch = ChannelParams(**WATER)
         beam = BeamParams()
-        a = run_transport(ch, beam, 40_000, seed=6, batch_size=1_000)
-        b = run_transport(ch, beam, 40_000, seed=6, batch_size=262_144)
+        monkeypatch.setattr(transport, "_BATCH", 1_000)
+        a = run_transport(ch, beam, 40_000, seed=6)
+        monkeypatch.setattr(transport, "_BATCH", 262_144)
+        b = run_transport(ch, beam, 40_000, seed=6)
         assert a == b
 
     def test_scattered_fraction_monotone_in_fov(self):
