@@ -6,9 +6,11 @@ resolves clicks on two analyzer arms with Poissonian signal statistics, dark
 counts, and background light.  Sifting, error estimation, CASCADE
 reconciliation, and Toeplitz privacy amplification complete the pipeline.
 
-The detection stage draws its per-pulse uniforms in a fixed order that does
-not depend on outcomes, so runs at different channel transmissions but the
-same seed use common random numbers and vary smoothly.
+Detection draws only the pulses that can click at unit transmission, the
+candidates, so its work and memory are O(detections), not O(pulses).  These
+draws do not depend on the channel transmission: sessions with the same seed
+share them (common random numbers), and a pulse detected at one transmission
+is detected at every higher one, so a sweep varies smoothly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from ..characterization import arm0_probabilities
-from ..polarization import MuellerMatrix
+from ..polarization import PHYSICALITY_TOL, MuellerMatrix, PhysicalityError
 from .cascade import cascade_reconcile
 from .classical_channel import InProcessChannelPair
 from .privacy import privacy_amplify
@@ -41,9 +43,9 @@ class SessionConfig:
     ``sifting_factor`` enters only the analytic :func:`sifted_key_rate`; the
     simulated sifting is Bob's random basis choice, which matches Alice's
     with probability 1/2.  ``channel_mueller`` must send every BB84 state to
-    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`);
-    each state's output intensity s0 scales its mean photon number, and
-    ``channel_transmission`` applies on top.
+    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`)
+    and be passive: each state's output intensity s0, at most 1, scales its
+    mean photon number, and ``channel_transmission`` applies on top.
     """
 
     pulse_rate: float = 1e6
@@ -78,11 +80,15 @@ class SessionConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if self.dark_count_prob + self.background_prob > 1.0:
+            raise ValueError("dark_count_prob + background_prob must not exceed 1")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise ValueError("intrinsic_error must lie in [0, 0.5]")
         if self.sifting_factor <= 0:
             raise ValueError("sifting_factor must be positive")
-        arm0_probabilities(self.channel_mueller)
+        _, s0 = arm0_probabilities(self.channel_mueller)
+        if s0.max() > 1.0 + PHYSICALITY_TOL:
+            raise PhysicalityError(f"channel amplifies a signal state (s0 = {s0.ravel()})")
 
 
 @dataclass(frozen=True)
@@ -146,69 +152,53 @@ def estimate_qber_disclosed(sifted_alice, sifted_bob, fraction: float, rng):
     return estimate, a[~sample], b[~sample], n_sample
 
 
-# Pulses are processed in fixed-size chunks so memory stays bounded for
-# large sessions without changing the draw schedule for a given seed.
-_DETECT_CHUNK = 1 << 21
-
-
-def _detect_chunk(rng, n: int, pc0_table: np.ndarray, pc1_table: np.ndarray):
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    bases = rng.integers(0, 2, size=n, dtype=np.uint8)
-    bob_bases = rng.integers(0, 2, size=n, dtype=np.uint8)
-    u0 = rng.random(n)
-    u1 = rng.random(n)
-    u_double = rng.random(n)
-
-    c0 = u0 < pc0_table[bases, bits, bob_bases]
-    c1 = u1 < pc1_table[bases, bits, bob_bases]
-    detected = c0 | c1
-    double = c0 & c1
-    bob_bits = np.where(double, (u_double < 0.5).astype(np.uint8), c1.astype(np.uint8))
-    return bits, bases, bob_bases, detected, bob_bits
-
-
 def detect_pulses(cfg: SessionConfig, rng):
-    """Prepare, transmit and detect all ``cfg.n_pulses`` pulses with a fixed draw schedule.
+    """Prepare, transmit and detect ``cfg.n_pulses`` pulses, drawing only the candidates.
 
-    Yields per-pulse arrays (alice_bits, alice_bases, bob_bases, detected,
-    bob_bits) for each chunk of at most ``_DETECT_CHUNK`` pulses, in pulse
-    order; ``bob_bits`` is meaningful only where ``detected``, and a double
-    click is squashed to a uniformly random bit.  Each chunk draws from
-    ``rng`` as it is produced.
+    Returns the detected pulses' (alice_bits, alice_bases, bob_bases,
+    bob_bits) in pulse order; a double click is squashed to a fair coin.  A
+    pulse falls into one of 8 equally likely ``[basis, bit, bob_basis]``
+    cells and clicks arm i when its uniform u_i is below the cell's click
+    probability pc_i, which grows with the transmission T <= 1.  The
+    candidates (some u_i below its value b_i at T = 1) are drawn as one
+    multinomial of cell counts, one uniform permutation (they are
+    exchangeable) and their u_i conditioned on the bounds, then thresholded
+    at the session's T: exactly the law of drawing every pulse.
     """
-    # Arm-0 probability for the 4 states x 2 measurement bases, after the
-    # receiver's intrinsic error e flips a photon between the arms.
+    # Arm-0 probability per cell after the intrinsic error e, and each
+    # state's channel output intensity s0, which scales its photon number.
     e = cfg.intrinsic_error
     p0_table, s0 = arm0_probabilities(cfg.channel_mueller)
-    p0_table = p0_table * (1 - 2 * e) + e
-    # Click probability of each arm, one entry per (basis, bit, bob_basis).
-    # Each state's detected mean photon number is scaled by its channel
-    # output intensity s0, on top of the loss factor.
-    mu_eff = cfg.mean_photon_number * cfg.channel_transmission * cfg.detector_efficiency
-    mu_eff = mu_eff * s0[:, :, None]
-    p_noise = cfg.dark_count_prob + cfg.background_prob
-    pc0_table = 1.0 - np.exp(-mu_eff * p0_table) * (1.0 - p_noise)
-    pc1_table = 1.0 - np.exp(-mu_eff * (1.0 - p0_table)) * (1.0 - p_noise)
+    p0 = (p0_table * (1 - 2 * e) + e).ravel()
+    mu_eta = cfg.mean_photon_number * cfg.detector_efficiency * np.repeat(s0.ravel(), 2)
+    no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
 
-    remaining = cfg.n_pulses
-    while remaining > 0:
-        n = min(remaining, _DETECT_CHUNK)
-        yield _detect_chunk(rng, n, pc0_table, pc1_table)
-        remaining -= n
+    def click_tables(t):
+        return [1.0 - np.exp(-mu_eta * t * p) * no_noise for p in (p0, 1.0 - p0)]
+
+    b0, b1 = click_tables(1.0)
+    pc0, pc1 = click_tables(cfg.channel_transmission)
+    q = 1.0 - (1.0 - b0) * (1.0 - b1)
+    counts = rng.multinomial(cfg.n_pulses, np.append(q / 8, 1.0 - q.mean()))[:8]
+    cell = rng.permutation(np.repeat(np.arange(8, dtype=np.uint8), counts))
+    # One uniform v on [0, q) picks the arms below their bounds: arm 0 only
+    # with weight b0(1 - b1), both with b0 b1, arm 1 only with (1 - b0) b1.
+    v = rng.random(cell.size) * q[cell]
+    c0 = (v < b0[cell]) & (rng.random(cell.size) * b0[cell] < pc0[cell])
+    c1 = (v >= (b0 * (1.0 - b1))[cell]) & (rng.random(cell.size) * b1[cell] < pc1[cell])
+    coin = rng.integers(0, 2, cell.size, dtype=np.uint8)
+    detected = c0 | c1
+    cell = cell[detected]
+    return (cell >> 1) & 1, cell >> 2, cell & 1, np.where(c0 & c1, coin, c1)[detected]
 
 
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
     """Run a full BB84 session: prepare, detect, sift, reconcile, amplify."""
     rng = np.random.default_rng(cfg.seed)
-    alice_parts, bob_parts = [], []
-    detected_pulses = 0
-    for bits, bases, bob_bases, detected, bob_bits in detect_pulses(cfg, rng):
-        keep = detected & (bases == bob_bases)
-        alice_parts.append(bits[keep])
-        bob_parts.append(bob_bits[keep])
-        detected_pulses += int(np.count_nonzero(detected))
-    sifted_alice = np.concatenate(alice_parts)
-    sifted_bob = np.concatenate(bob_parts)
+    bits, bases, bob_bases, bob_bits = detect_pulses(cfg, rng)
+    sifted = bases == bob_bases
+    sifted_alice, sifted_bob = bits[sifted], bob_bits[sifted]
+    detected_pulses = len(bits)
 
     duration = cfg.n_pulses / cfg.pulse_rate
     sifted_bits = len(sifted_alice)

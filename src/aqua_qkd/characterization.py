@@ -182,10 +182,11 @@ def arm0_probabilities(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qber_from_mueller(m_w: MuellerMatrix) -> float:
-    """Mean wrong-arm probability of the four BB84 states in Bob's matching basis."""
-    p0, _ = arm0_probabilities(m_w)
+    """Wrong-arm probability in Bob's matching basis, each BB84 state weighted
+    by its output intensity s0 as the session's weak-pulse detection weights it."""
+    p0, s0 = arm0_probabilities(m_w)
     wrong = [p0[b, bit, b] if bit else 1.0 - p0[b, bit, b] for b, bit in STATE_MAP]
-    return float(np.mean(wrong))
+    return float(np.average(wrong, weights=[s0[state] for state in STATE_MAP]))
 
 
 @dataclass(frozen=True)

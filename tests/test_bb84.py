@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aqua_qkd.bb84 import BASIS_DIAGONAL, BASIS_RECTILINEAR, STATE_MAP, session
+from aqua_qkd.bb84 import BASIS_DIAGONAL, BASIS_RECTILINEAR, STATE_MAP
 from aqua_qkd.bb84.session import (
     MIN_SIFTED_BITS,
     InsufficientKeyError,
@@ -16,6 +17,7 @@ from aqua_qkd.bb84.session import (
     sifted_key_rate,
 )
 from aqua_qkd.characterization import qber_from_mueller
+from aqua_qkd.experiments import CALIBRATED_SESSION
 from aqua_qkd.polarization import (
     MuellerMatrix,
     PhysicalityError,
@@ -24,6 +26,10 @@ from aqua_qkd.polarization import (
     rotation_mueller,
     waveplate_mueller,
 )
+
+
+# Peak memory of detection per detected pulse, in bytes.
+PEAK_BYTES_PER_DETECTION = 48
 
 
 def quiet_config(**overrides) -> SessionConfig:
@@ -57,16 +63,30 @@ class TestStateMap:
 
 
 def detect(cfg: SessionConfig):
-    """All of ``detect_pulses``'s chunks, joined into per-pulse arrays."""
-    chunks = detect_pulses(cfg, np.random.default_rng(cfg.seed))
-    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+    """The detected pulses' (bits, bases, bob_bases, bob_bits) for the config's seed."""
+    return detect_pulses(cfg, np.random.default_rng(cfg.seed))
+
+
+def assert_binomial(count: int, n: int, p: float, z: float = 4.0):
+    sigma = math.sqrt(n * p * (1 - p))
+    assert abs(count - n * p) <= z * sigma, (count, n * p, sigma)
 
 
 class TestAlicePrepare:
     def test_shapes_and_marginals(self):
-        bits, bases, bob_bases, detected, bob_bits = detect(quiet_config(n_pulses=20_000))
-        for a in (bits, bases, bob_bases, detected, bob_bits):
-            assert a.shape == (20_000,)
+        # On the noiseless identity channel every (basis, bit, bob_basis)
+        # cell is detected with 1 - exp(-mu*eta), so the detected pulses keep
+        # the uniform marginals.
+        n = 3_000_000
+        out = detect(quiet_config(n_pulses=n))
+        k = len(out[0])
+        for a in out:
+            assert a.shape == (k,)
+            assert a.dtype == np.uint8
+            assert np.all(a <= 1)
+        assert k > 20_000
+        assert_binomial(k, n, 1.0 - math.exp(-0.1 * 0.077))
+        bits, bases, bob_bases, _ = out
         assert abs(bits.mean() - 0.5) < 0.02
         assert abs(bases.mean() - 0.5) < 0.02
         assert abs(bob_bases.mean() - 0.5) < 0.02
@@ -75,8 +95,8 @@ class TestAlicePrepare:
         # Noiseless matched-basis detections reproduce Alice's bit in both
         # bases, so every (basis, bit) maps to the state Bob's arms resolve.
         cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=20_000, seed=1)
-        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
-        matched = detected & (bases == bob_bases)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
+        matched = bases == bob_bases
         for basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
             for bit in (0, 1):
                 sel = matched & (bases == basis) & (bits == bit)
@@ -87,63 +107,157 @@ class TestAlicePrepare:
 class TestDetectPulse:
     def test_click_probability_closed_form(self):
         # Matched basis, no noise: the correct arm clicks with
-        # 1 - exp(-mu*T*eta) and the wrong arm never does.
-        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=100_000, seed=2)
-        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
+        # 1 - exp(-mu*T*eta) and the wrong arm never does.  Bob matches
+        # Alice's basis with probability 1/2, so the matched clicks are
+        # Bin(n_pulses, (1 - exp(-mu*T*eta)) / 2).
+        n = 100_000
+        cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=n, seed=2)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
         matched = bases == bob_bases
-        n = int(np.count_nonzero(matched))
-        clicks = int(np.count_nonzero(detected[matched]))
-        assert np.all(bob_bits[matched & detected] == bits[matched & detected])
-        expected = 1.0 - math.exp(-1.0)
-        assert clicks / n == pytest.approx(expected, abs=3 * math.sqrt(expected / n))
+        assert np.all(bob_bits[matched] == bits[matched])
+        assert_binomial(int(np.count_nonzero(matched)), n, (1.0 - math.exp(-1.0)) / 2, z=3)
 
     def test_conjugate_basis_is_unbiased(self):
         cfg = quiet_config(mean_photon_number=1.0, detector_efficiency=1.0, n_pulses=100_000, seed=3)
-        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
-        conjugate = detected & (bases != bob_bases)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
+        conjugate = bases != bob_bases
         assert np.mean(bob_bits[conjugate] == bits[conjugate]) == pytest.approx(0.5, abs=0.02)
 
     def test_dark_counts_click_without_signal(self):
         # Two arms with p_dark = 0.3 each: P(click) = 1 - 0.7^2 = 0.51.
         cfg = quiet_config(mean_photon_number=0.0, dark_count_prob=0.3, n_pulses=10_000, seed=4)
-        _, _, _, detected, _ = detect(cfg)
-        assert detected.mean() == pytest.approx(0.51, abs=0.02)
+        bits, _, _, bob_bits = detect(cfg)
+        assert len(bits) / 10_000 == pytest.approx(0.51, abs=0.02)
+        assert bob_bits.mean() == pytest.approx(0.5, abs=0.03)
 
     def test_chunk_peak_memory_per_pulse(self):
-        # The six per-pulse draws take 27 B; click probabilities are looked up
-        # per pulse, not computed per pulse, so a chunk needs no n-long float
-        # temporaries beyond them.
-        n = 1 << 18
-        cfg = quiet_config(dark_count_prob=1e-3, n_pulses=n, seed=6)
-        chunks = detect_pulses(cfg, np.random.default_rng(cfg.seed))
+        # Only pulses that can click are drawn, and at T = 1 each of them
+        # clicks, so memory is a fixed number of bytes per detected pulse:
+        # nothing is allocated per pulse sent.
+        cfg = SessionConfig(**dict(CALIBRATED_SESSION, n_pulses=1 << 22, seed=6))
+        rng = np.random.default_rng(cfg.seed)
         tracemalloc.start()
         try:
-            next(chunks)
+            bits, _, _, _ = detect_pulses(cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 50 * n, peak / n
+        assert len(bits) > 30_000
+        assert peak <= PEAK_BYTES_PER_DETECTION * len(bits), peak / len(bits)
 
 
 class TestSift:
     def test_keeps_matching_bases_with_clicks(self):
         cfg = quiet_config(intrinsic_error=0.02, dark_count_prob=1e-3, n_pulses=400_000, seed=5)
-        bits, bases, bob_bases, detected, bob_bits = detect(cfg)
-        _, material = run_session(cfg)
-        keep = detected & (bases == bob_bases)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
+        stats, material = run_session(cfg)
+        keep = bases == bob_bases
+        assert stats.detected_pulses == len(bits)
         np.testing.assert_array_equal(material.sifted_alice, bits[keep])
         np.testing.assert_array_equal(material.sifted_bob, bob_bits[keep])
 
-    def test_sifts_across_chunk_boundaries(self, monkeypatch):
-        monkeypatch.setattr(session, "_DETECT_CHUNK", 1 << 15)
-        cfg = quiet_config(intrinsic_error=0.02, dark_count_prob=1e-3, n_pulses=400_000, seed=5)
-        chunks = list(detect_pulses(cfg, np.random.default_rng(cfg.seed)))
-        assert [len(c[0]) for c in chunks] == [1 << 15] * 12 + [400_000 - 12 * (1 << 15)]
-        bits, bases, bob_bases, detected, bob_bits = (np.concatenate(p) for p in zip(*chunks))
-        _, material = run_session(cfg)
-        keep = detected & (bases == bob_bases)
+    def test_sifts_across_chunk_boundaries(self):
+        # A long session sifts exactly the matched-basis detections, and in
+        # pulse order: neighbouring sifted bits share a basis (and a bit)
+        # with probability 1/2, not in runs grouped by cell.
+        cfg = quiet_config(intrinsic_error=0.02, dark_count_prob=1e-3, n_pulses=4_200_000, seed=5)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
+        stats, material = run_session(cfg)
+        keep = bases == bob_bases
+        assert stats.detected_pulses == len(bits)
         np.testing.assert_array_equal(material.sifted_alice, bits[keep])
         np.testing.assert_array_equal(material.sifted_bob, bob_bits[keep])
+        for a in (bases[keep], bits[keep]):
+            assert_binomial(int(np.count_nonzero(a[1:] == a[:-1])), len(a) - 1, 0.5)
+
+
+def session_stats(cfg: SessionConfig):
+    """The stats of ``run_session``, also when the sifted key is too short to finish."""
+    try:
+        return run_session(cfg)[0]
+    except InsufficientKeyError as exc:
+        return exc.stats
+
+
+def closed_form_probabilities(cfg: SessionConfig) -> dict:
+    """Per-pulse probabilities of a detection, a sifted bit and a wrong sifted bit.
+
+    The model criterion 06 uses, for the identity channel: each arm clicks
+    with pc_i = 1 - exp(-mu*eta*T*p_i)(1 - p_dark - p_bg), a matched basis
+    splits the light as p = (1 - e, e) and a conjugate one as (1/2, 1/2); a
+    pulse is detected when either arm clicks, Bob picks Alice's basis with
+    probability 1/2, and a double click is squashed to a fair coin.
+    """
+    mu_eta_t = cfg.mean_photon_number * cfg.detector_efficiency * cfg.channel_transmission
+    no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
+    e = cfg.intrinsic_error
+
+    def click(p):
+        return 1.0 - math.exp(-mu_eta_t * p) * no_noise
+
+    right, wrong, half = click(1.0 - e), click(e), click(0.5)
+    matched = 1.0 - (1.0 - right) * (1.0 - wrong)
+    conjugate = 1.0 - (1.0 - half) ** 2
+    return {
+        "detected_pulses": (matched + conjugate) / 2,
+        "sifted_bits": matched / 2,
+        "wrong_bits": (wrong * (1.0 - right) + right * wrong / 2) / 2,
+    }
+
+
+class TestDetectionLaw:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SessionConfig(**dict(CALIBRATED_SESSION, channel_transmission=1.0)),
+            SessionConfig(**dict(CALIBRATED_SESSION, channel_transmission=0.1995)),
+            quiet_config(
+                mean_photon_number=0.5,
+                dark_count_prob=0.01,
+                background_prob=0.005,
+                intrinsic_error=0.05,
+                n_pulses=200_000,
+            ),
+            quiet_config(
+                mean_photon_number=1.0,
+                detector_efficiency=1.0,
+                intrinsic_error=0.03,
+                dark_count_prob=1e-3,
+                n_pulses=50_000,
+            ),
+        ],
+        ids=["calibrated-air", "calibrated-tank", "noisy", "mu1-eta1"],
+    )
+    def test_counts_match_closed_form(self, cfg):
+        # Summed over seeds, each count is Bin(seeds * n_pulses, p) under the model.
+        seeds = range(100, 112)
+        totals = dict.fromkeys(("detected_pulses", "sifted_bits", "wrong_bits"), 0)
+        for seed in seeds:
+            stats = session_stats(replace(cfg, seed=seed))
+            for name in totals:
+                totals[name] += getattr(stats, name)
+        for name, p in closed_form_probabilities(cfg).items():
+            assert_binomial(totals[name], len(seeds) * cfg.n_pulses, p)
+
+    def test_lower_transmission_detects_a_subsequence(self):
+        # Common random numbers: every pulse detected at T1 < T2 is detected
+        # at T2 too, so the detections at T1 are a subsequence of those at
+        # T2, in the same order.  A sequence over 8 symbols would need about
+        # 8x its length to contain an unrelated one, not the 1.3x here.
+        cfg = quiet_config(
+            mean_photon_number=1.0,
+            detector_efficiency=1.0,
+            intrinsic_error=0.03,
+            dark_count_prob=1e-3,
+            n_pulses=20_000,
+            seed=11,
+        )
+        lo, hi = (detect(replace(cfg, channel_transmission=t))[:3] for t in (0.3, 0.4))
+        lo_cells = (4 * lo[0] + 2 * lo[1] + lo[2]).tolist()
+        hi_cells = (4 * hi[0] + 2 * hi[1] + hi[2]).tolist()
+        assert 1.2 * len(lo_cells) < len(hi_cells) < 1.4 * len(lo_cells)
+        remaining = iter(hi_cells)
+        assert all(cell in remaining for cell in lo_cells)
 
 
 class TestQberAndRate:
@@ -214,6 +328,20 @@ class TestSessionConfig:
         with pytest.raises(PhysicalityError):
             quiet_config(channel_mueller=MuellerMatrix(np.diag(diag)))
 
+    def test_rejects_amplifying_channel(self):
+        # A gain, and a diattenuator normalized to m00 = 1, which passes H
+        # with s0 = 1.5.
+        diattenuator = [[1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 0.8, 0], [0, 0, 0, 0.8]]
+        for m in (2.0 * np.eye(4), diattenuator):
+            with pytest.raises(PhysicalityError, match="amplifies"):
+                quiet_config(channel_mueller=MuellerMatrix(m))
+        passive = MuellerMatrix(np.diag([0.5, 0.5, 0.5, 0.5]))
+        assert quiet_config(channel_mueller=passive).channel_mueller is passive
+
+    def test_rejects_noise_above_one(self):
+        with pytest.raises(ValueError):
+            quiet_config(dark_count_prob=0.6, background_prob=0.5)
+
 
 class TestRunSession:
     def test_noiseless_session_has_zero_qber(self):
@@ -253,16 +381,17 @@ class TestRunSession:
             diffs.append(hi.qber - lo.qber)
         assert np.mean(diffs) > 0
 
-    def test_peak_memory_does_not_grow_with_pulses(self, monkeypatch):
-        # Detection is streamed chunk by chunk, and only the ~0.4% of pulses
-        # that are sifted are kept, so an 8x longer session at the same chunk
-        # size needs about the same peak memory.
-        monkeypatch.setattr(session, "_DETECT_CHUNK", 1 << 16)
+    def test_peak_memory_does_not_grow_with_pulses(self):
+        # Only detected pulses are drawn and kept, so a session with 8x the
+        # pulses at 1/8 the mean photon number, which detects about as many,
+        # needs about the same peak memory.
         peaks = []
-        for n in (1 << 18, 1 << 21):
+        for n, mu in ((1 << 18, 0.8), (1 << 21, 0.1)):
             tracemalloc.start()
             try:
-                run_session(SessionConfig(n_pulses=n, intrinsic_error=0.02, seed=3))
+                run_session(
+                    SessionConfig(n_pulses=n, mean_photon_number=mu, intrinsic_error=0.02, seed=3)
+                )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -294,11 +423,18 @@ class TestRunSession:
             MuellerMatrix(np.diag([1.0, 0.93, 0.97, 0.9]))
             @ rotation_mueller(0.04)
             @ waveplate_mueller(WaveplateSpec(theta=2.5, delta=0.3)),
-            # A weak diattenuator: the output intensity s0 differs by state.
+            # Passive diattenuators: the output intensity s0 differs by state.
             MuellerMatrix(
-                [[1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, 0.99**0.5, 0], [0, 0, 0, 0.99**0.5]]
+                np.array(
+                    [[1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, 0.99**0.5, 0], [0, 0, 0, 0.99**0.5]]
+                )
+                / 1.1
             )
             @ rotation_mueller(0.15),
+            MuellerMatrix(
+                np.array([[1, 0.8, 0, 0], [0.8, 1, 0, 0], [0, 0, 0.6, 0], [0, 0, 0, 0.6]]) / 1.8
+            )
+            @ rotation_mueller(0.3),
         ],
         ids=[
             "rotation",
@@ -306,12 +442,13 @@ class TestRunSession:
             "rotation-retarder-depolarizer",
             "depolarizer-rotation-retarder",
             "diattenuator-rotation",
+            "strong-diattenuator-rotation",
         ],
     )
     def test_session_qber_matches_channel_qber(self, channel):
         # Independent Poisson arms: the first-order terms in mu*T*eta cancel,
         # so the sifted QBER of a noiseless session is the channel's
-        # wrong-arm probability.
+        # wrong-arm probability, each state weighted by its output intensity.
         expected = qber_from_mueller(channel)
         stats, _ = run_session(quiet_config(channel_mueller=channel, n_pulses=4_000_000, seed=9))
         sigma = math.sqrt(expected * (1 - expected) / stats.sifted_bits)
@@ -328,20 +465,22 @@ class TestRunSession:
         sigma = math.sqrt(1_000_000 * p * (1 - p))
         assert abs(stats.detected_pulses - 1_000_000 * p) <= 4 * sigma, stats.detected_pulses
 
-        # A diattenuator passes H with s0 = 1.5 and V with s0 = 0.5.
+        # A passive diattenuator passes H with s0 = 1 and V with s0 = 1/3.
+        # Each pulse is that state with probability 1/4, so its detections
+        # are Bin(n_pulses, p/4).
         d = 0.5
         r = (1 - d * d) ** 0.5
-        diattenuator = MuellerMatrix([[1, d, 0, 0], [d, 1, 0, 0], [0, 0, r, 0], [0, 0, 0, r]])
-        bits, bases, _, detected, _ = detect(
+        diattenuator = MuellerMatrix(
+            np.array([[1, d, 0, 0], [d, 1, 0, 0], [0, 0, r, 0], [0, 0, 0, r]]) / (1 + d)
+        )
+        bits, bases, _, _ = detect(
             quiet_config(channel_mueller=diattenuator, n_pulses=1_000_000, seed=4)
         )
         clicks = []
-        for bit, s0 in ((0, 1 + d), (1, 1 - d)):
-            sent = (bases == BASIS_RECTILINEAR) & (bits == bit)
-            n = int(np.count_nonzero(sent))
+        for bit, s0 in ((0, 1.0), (1, (1 - d) / (1 + d))):
             p = 1.0 - math.exp(-mu_eta * s0)
-            clicks.append(int(np.count_nonzero(detected[sent])))
-            assert abs(clicks[-1] - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (bit, clicks, n * p)
+            clicks.append(int(np.count_nonzero((bases == BASIS_RECTILINEAR) & (bits == bit))))
+            assert_binomial(clicks[-1], 1_000_000, p / 4)
         assert clicks[0] > clicks[1]
 
     def test_qber_estimation_fraction_discloses_and_discards(self):

@@ -110,6 +110,7 @@ class TestExitCodes:
                 "scenario": "bb84-run",
                 "session": {"channel_mueller": np.diag([1, -1.5, 0.2, 1]).tolist()},
             },
+            {"scenario": "bb84-run", "session": {"channel_mueller": (2 * np.eye(4)).tolist()}},
         ],
         ids=[
             "jerlov-missing-reference",
@@ -122,6 +123,7 @@ class TestExitCodes:
             "mueller-missing-theta2",
             "bb84-overpolarizing-mueller",
             "bb84-nonphysical-mueller",
+            "bb84-amplifying-mueller",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):
