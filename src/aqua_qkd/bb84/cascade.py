@@ -1,15 +1,29 @@
-"""CASCADE interactive error reconciliation.
+"""CASCADE interactive error reconciliation, one frame per binary-search level.
 
-Bob drives the dialogue: he asks Alice for block parities over the classical
-channel, binary-searches mismatched blocks to locate single errors, and
-propagates each correction back through every earlier pass whose block
-parities are already on record.  A final verification stage compares random
-subset parities until a configurable run of consecutive matches.
+Bob drives the dialogue in ``PASSES`` passes (Brassard & Salvail, EUROCRYPT
+'93).  He announces the permutations of the later passes by seed and asks
+for the block parities of every pass in one frame.  Pass by pass, he then
+binary-searches every mismatched block at once, one frame per halving level
+(the level-parallel search of Martinez-Mateo et al., QIC 15, 2015).  Every
+position such a wave finds is a true error: Bob flips each once, then
+searches, as the next wave, the blocks of every pass so far that the flips
+left mismatched.  A final verification stage compares random subset
+parities, up to ``MAX_SUBSETS`` per frame, until a run of
+``verify_parities`` matches.
 
-Bob's oracle counts every parity bit Alice reveals, one per response it
-receives; Alice's endpoint charges the same bit to its channel's leak
-accountant.  Permutation announcements carry no key information and are not
-counted.
+Both sides number the *sequences* of key positions they can derive alike:
+sequence 0 is the key in order, each PERMUTATION_SEED frame (``>Q`` seed)
+adds the permutation drawn from that seed, and each VERIFICATION frame
+(``>Q`` seed, ``>I`` count) adds its ``count`` random subsets, in order.
+Subset ``j`` holds the key positions whose uint64 drawn from the seed has
+bit ``j`` set.  A PARITY_REQUEST frame is a run of (sequence, start, end)
+records of three ``>u4`` each; Alice answers each ``[start, end)`` range of a
+sequence in O(1) from a prefix-parity array of her key in that order.  A
+VERIFICATION frame asks for the parities of its subsets.  Alice answers
+every request with one PARITY_RESPONSE of packed bits (``np.packbits``),
+sent with ``disclosed_bits`` equal to their count, and Bob's oracle charges
+the same count; an empty VERIFICATION frame ends the dialogue.  Seeds carry
+no key information and are not counted.
 """
 
 from __future__ import annotations
@@ -30,35 +44,104 @@ from .classical_channel import (
 FIRST_PASS_COEFF = 0.73
 PASSES = 4
 DEFAULT_VERIFY_PARITIES = 64
+MAX_SUBSETS = 64  # verification subsets per frame: the bits of one uint64 per position
+
+_SEED = struct.Struct(">Q")
+_VERIFY = struct.Struct(">QI")
+_RECORD = np.dtype(">u4")  # one field of a (sequence, start, end) record
 
 
 class ProtocolError(RuntimeError):
     pass
 
 
-def _pack_indices(indices: np.ndarray) -> bytes:
-    return np.asarray(indices, dtype=np.uint32).tobytes()
+def _prefix_parity(bits: np.ndarray) -> np.ndarray:
+    """``out[i]`` is the parity of ``bits[:i]``, so a range's parity is two lookups."""
+    out = np.zeros(len(bits) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=out[1:])
+    return out
 
 
-def _unpack_indices(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype=np.uint32).astype(np.int64)
+def _permutation(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).permutation(n)
 
 
-def _answer_frame(key: np.ndarray, msg_type: int, payload: bytes, channel) -> bool:
-    """Alice's answer to one frame from Bob; False once the closing frame arrives.
+def _subset_words(seed: int, n: int) -> np.ndarray:
+    """One uint64 per key position; bit ``j`` puts the position in subset ``j``."""
+    return np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
 
-    Parity and verification requests are answered with the parity of ``key``
-    over the requested indices, charged as one disclosed bit on ``channel``.
+
+def _subset(words: np.ndarray, j: int) -> np.ndarray:
+    return np.nonzero((words >> np.uint64(j)) & np.uint64(1))[0]
+
+
+def _subset_parities(key: np.ndarray, words: np.ndarray, count: int) -> np.ndarray:
+    """Parities of ``key`` over subsets ``0..count-1``, in one pass over the key."""
+    acc = np.bitwise_xor.reduce(words[key == 1])
+    return ((acc >> np.arange(count, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+class _Alice:
+    """Alice's side of the dialogue: her key's prefix parities over every sequence.
+
+    A verification subset is kept as its (seed, index) until a range over it
+    is first requested, which happens only when its parity mismatched.
     """
-    if msg_type == MSG_PERMUTATION_SEED:
-        return True  # informational
-    if msg_type not in (MSG_PARITY_REQUEST, MSG_VERIFICATION):
-        raise ProtocolError(f"unexpected message type {msg_type:#x}")
-    if msg_type == MSG_VERIFICATION and not payload:
-        return False
-    parity = int(key[_unpack_indices(payload)].sum() & 1)
-    channel.send(MSG_PARITY_RESPONSE, bytes([parity]), disclosed_bits=1)
-    return True
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+        self._seqs: list = [_prefix_parity(key)]
+
+    def _prefix(self, s: int) -> np.ndarray:
+        entry = self._seqs[s]
+        if isinstance(entry, tuple):
+            seed, j = entry
+            subset = _subset(_subset_words(seed, len(self._key)), j)
+            entry = self._seqs[s] = _prefix_parity(self._key[subset])
+        return entry
+
+    def _range_parities(self, payload: bytes) -> np.ndarray:
+        if not payload or len(payload) % (3 * _RECORD.itemsize):
+            raise ProtocolError(
+                f"parity request of {len(payload)} bytes is not a whole number of records"
+            )
+        seq, start, end = np.frombuffer(payload, dtype=_RECORD).reshape(-1, 3).astype(np.int64).T
+        if seq.max() >= len(self._seqs):
+            raise ProtocolError(f"unknown sequence {seq.max()}")
+        out = np.empty(len(seq), dtype=np.uint8)
+        for s in np.flatnonzero(np.bincount(seq)):
+            prefix = self._prefix(s)
+            sel = seq == s
+            lo, hi = start[sel], end[sel]
+            if np.any(lo >= hi) or np.any(hi >= len(prefix)):
+                raise ProtocolError(f"empty range, or range outside [0, {len(prefix) - 1}]")
+            out[sel] = prefix[hi] ^ prefix[lo]
+        return out
+
+    def answer(self, msg_type: int, payload: bytes, channel) -> bool:
+        """Answer one frame from Bob; False once the closing frame arrives."""
+        if msg_type == MSG_PERMUTATION_SEED:
+            if len(payload) != _SEED.size:
+                raise ProtocolError(f"permutation seed of {len(payload)} bytes")
+            (seed,) = _SEED.unpack(payload)
+            self._seqs.append(_prefix_parity(self._key[_permutation(seed, len(self._key))]))
+            return True
+        if msg_type == MSG_PARITY_REQUEST:
+            bits = self._range_parities(payload)
+        elif msg_type == MSG_VERIFICATION:
+            if not payload:
+                return False
+            if len(payload) != _VERIFY.size:
+                raise ProtocolError(f"verification frame of {len(payload)} bytes")
+            seed, count = _VERIFY.unpack(payload)
+            if not 0 < count <= MAX_SUBSETS:
+                raise ProtocolError(f"verification count {count} outside [1, {MAX_SUBSETS}]")
+            bits = _subset_parities(self._key, _subset_words(seed, len(self._key)), count)
+            self._seqs.extend((seed, j) for j in range(count))
+        else:
+            raise ProtocolError(f"unexpected message type {msg_type:#x}")
+        channel.send(MSG_PARITY_RESPONSE, np.packbits(bits).tobytes(), disclosed_bits=len(bits))
+        return True
 
 
 def serve_parity_queries(alice_key, channel) -> None:
@@ -67,8 +150,8 @@ def serve_parity_queries(alice_key, channel) -> None:
     Runs Alice's side when her endpoint lives behind a byte-stream transport,
     typically on its own thread or process.
     """
-    key = np.asarray(alice_key, dtype=np.uint8)
-    while _answer_frame(key, *channel.recv(), channel):
+    alice = _Alice(np.asarray(alice_key, dtype=np.uint8))
+    while alice.answer(*channel.recv(), channel):
         pass
 
 
@@ -80,12 +163,12 @@ class _InlineAlice:
     """
 
     def __init__(self, alice_key: np.ndarray, pair: InProcessChannelPair):
-        self._key = alice_key
+        self._alice = _Alice(alice_key)
         self._pair = pair
 
     def send(self, msg_type: int, payload: bytes):
         self._pair.bob.send(msg_type, payload)
-        _answer_frame(self._key, *self._pair.alice.recv(), self._pair.alice)
+        self._alice.answer(*self._pair.alice.recv(), self._pair.alice)
 
     def recv(self) -> tuple[int, bytes]:
         return self._pair.bob.recv()
@@ -94,45 +177,65 @@ class _InlineAlice:
 class RemoteOracle:
     """Bob's parity oracle over one message endpoint; Alice answers at the other end.
 
-    Counts one disclosed bit per parity response received.
+    Counts one disclosed bit per parity carried by each response received.
     """
 
     def __init__(self, channel):
         self._chan = channel
         self.bits_disclosed = 0
 
-    def _roundtrip(self, msg_type: int, idx: np.ndarray) -> int:
-        self._chan.send(msg_type, _pack_indices(idx))
-        resp_type, payload = self._chan.recv()
+    def _roundtrip(self, msg_type: int, payload: bytes, nbits: int) -> np.ndarray:
+        self._chan.send(msg_type, payload)
+        resp_type, resp = self._chan.recv()
         if resp_type != MSG_PARITY_RESPONSE:
             raise ProtocolError(f"expected parity response, got {resp_type:#x}")
-        self.bits_disclosed += 1
-        return payload[0]
+        if len(resp) != (nbits + 7) // 8:
+            raise ProtocolError(f"{len(resp)}-byte response to {nbits} parity queries")
+        self.bits_disclosed += nbits
+        return np.unpackbits(np.frombuffer(resp, dtype=np.uint8), count=nbits)
 
-    def parity(self, idx: np.ndarray) -> int:
-        return self._roundtrip(MSG_PARITY_REQUEST, idx)
+    def parities(self, seq: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Alice's parity over ``[start[i], end[i])`` of sequence ``seq[i]``, for every i."""
+        records = np.stack((seq, start, end), axis=1).astype(_RECORD)
+        return self._roundtrip(MSG_PARITY_REQUEST, records.tobytes(), len(records))
 
-    def verify_parity(self, idx: np.ndarray) -> int:
-        return self._roundtrip(MSG_VERIFICATION, idx)
+    def verify(self, seed: int, count: int) -> np.ndarray:
+        """Alice's parities over the first ``count`` subsets drawn from ``seed``."""
+        return self._roundtrip(MSG_VERIFICATION, _VERIFY.pack(seed, count), count)
 
     def announce_permutation(self, seed: int):
-        self._chan.send(MSG_PERMUTATION_SEED, struct.pack(">Q", seed))
+        self._chan.send(MSG_PERMUTATION_SEED, _SEED.pack(seed))
 
     def close(self):
         self._chan.send(MSG_VERIFICATION, b"")
 
 
-def _binary_search_flip(bob: np.ndarray, idx: np.ndarray, oracle) -> int:
-    """Locate and flip one error inside a block with mismatched parity."""
-    while len(idx) > 1:
-        half = len(idx) // 2
-        left = idx[:half]
-        a_par = oracle.parity(left)
-        b_par = int(bob[left].sum() & 1)
-        idx = left if a_par != b_par else idx[half:]
-    pos = int(idx[0])
-    bob[pos] ^= 1
-    return pos
+def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
+    """Key positions of one error in each range, every search one level per frame.
+
+    Range i is ``[start[i], end[i])`` of sequence ``seq[i]``, over which Bob's
+    parity differs from Alice's.  The prefix parities of Bob's key over the
+    sequences in use are laid end to end, so one array answers every range.
+    """
+    used = np.flatnonzero(np.bincount(seq))
+    prefixes = [_prefix_parity(bob[seqs[s]]) for s in used]
+    lengths = np.zeros(len(seqs), dtype=np.int64)
+    lengths[used] = [len(prefix) for prefix in prefixes]
+    offsets = (np.cumsum(lengths) - lengths)[seq]
+    prefix = np.concatenate(prefixes)
+    lo, hi = start + offsets, end + offsets
+    while (act := np.flatnonzero(hi - lo > 1)).size:
+        a, b = lo[act], hi[act]
+        mid = (a + b) // 2
+        off = offsets[act]
+        left = oracle.parities(seq[act], a - off, mid - off) != prefix[mid] ^ prefix[a]
+        hi[act] = np.where(left, mid, b)
+        lo[act] = np.where(left, a, mid)
+    lo -= offsets
+    found = np.zeros(len(bob), dtype=bool)
+    for s in used:
+        found[seqs[s][lo[seq == s]]] = True
+    return np.flatnonzero(found)
 
 
 def reconcile_with_oracle(
@@ -146,9 +249,10 @@ def reconcile_with_oracle(
 
     Raises :class:`ProtocolError` when the verification stage finds no run of
     ``verify_parities`` matching subset parities within ``8 * verify_parities``
-    checks, rather than return a key it could not confirm.
+    checks, rather than return a key it could not confirm.  A frame of
+    subsets that holds a mismatch counts none of its matches toward the run.
     """
-    bob = np.array(bob_key, dtype=np.uint8).copy()
+    bob = np.array(bob_key, dtype=np.uint8)
     n = len(bob)
     if n < 16:
         raise ProtocolError(f"key too short to reconcile ({n} bits)")
@@ -156,48 +260,51 @@ def reconcile_with_oracle(
         raise ProtocolError(f"qber_estimate must lie in (0, 0.5), got {qber_estimate}")
 
     k1 = math.ceil(FIRST_PASS_COEFF / qber_estimate)
-    pass_blocks: list[list[np.ndarray]] = []
-    block_of: list[np.ndarray] = []
-    alice_parity: list[list[int]] = []
+    sizes = [min(n, k1 * (2**p)) for p in range(PASSES)]
+    seeds = [int(rng.integers(0, 2**63)) for _ in range(1, PASSES)]
+    for seed in seeds:
+        oracle.announce_permutation(seed)
+    # Key positions of each sequence, by id: pass p is sequence p, and a
+    # verification subset is filled in only when it is searched.
+    seqs: list = [np.arange(n)] + [_permutation(seed, n) for seed in seeds]
+    block_of: list[np.ndarray] = []  # per pass begun: the block of each key position
+    bob_par: list[np.ndarray] = []  # per pass begun: Bob's block parities, kept current
 
-    def enqueue_affected(flipped: int, upto: int, queue: list):
-        for q in range(upto + 1):
-            b = int(block_of[q][flipped])
-            if int(bob[pass_blocks[q][b]].sum() & 1) != alice_parity[q][b]:
-                queue.append((q, b))
+    def ranges(p: int, blocks: np.ndarray):
+        start = blocks * sizes[p]
+        return np.full(len(blocks), p), start, np.minimum(start + sizes[p], n)
 
-    def correct(queue: list, upto: int):
-        """Fix the queued blocks, and every block of passes 0..upto a fix flips."""
-        while queue:
-            q, b = queue.pop()
-            blk = pass_blocks[q][b]
-            if int(bob[blk].sum() & 1) == alice_parity[q][b]:
-                continue  # already fixed by an earlier cascade
-            flipped = _binary_search_flip(bob, blk, oracle)
-            enqueue_affected(flipped, upto, queue)
+    def joined(parts):
+        return tuple(np.concatenate(field) for field in zip(*parts))
 
-    for p in range(PASSES):
-        size = min(n, k1 * (2**p))
-        if p == 0:
-            perm = np.arange(n)
-        else:
-            seed = int(rng.integers(0, 2**63))
-            oracle.announce_permutation(seed)
-            perm = np.random.default_rng(seed).permutation(n)
-        blocks = [perm[i : i + size] for i in range(0, n, size)]
-        mapping = np.empty(n, dtype=np.int64)
-        mapping[perm] = np.arange(n) // size
-        parities = [oracle.parity(blk) for blk in blocks]
-        pass_blocks.append(blocks)
-        block_of.append(mapping)
-        alice_parity.append(parities)
+    def flip(positions: np.ndarray):
+        bob[positions] ^= 1
+        for blocks, par in zip(block_of, bob_par):
+            par ^= (np.bincount(blocks[positions], minlength=len(par)) & 1).astype(np.uint8)
 
-        queue = [
-            (p, b) for b, blk in enumerate(blocks) if int(bob[blk].sum() & 1) != parities[b]
-        ]
-        correct(queue, p)
+    def mismatched_blocks():
+        return joined(
+            ranges(p, np.nonzero(par != alice_par[p])[0]) for p, par in enumerate(bob_par)
+        )
 
-    # Verification stage: random subset parities until a clean run.
+    def settle(seq, start, end):
+        """Search the ranges, then every block the flips leave mismatched, until none is."""
+        while len(seq):
+            flip(_locate(bob, seqs, seq, start, end, oracle))
+            seq, start, end = mismatched_blocks()
+
+    # Every pass's block parities in one frame; the passes are then corrected in turn.
+    n_blocks = [-(-n // size) for size in sizes]
+    top = oracle.parities(*joined(ranges(p, np.arange(nb)) for p, nb in enumerate(n_blocks)))
+    alice_par = np.split(top, np.cumsum(n_blocks)[:-1])
+    for p, size in enumerate(sizes):
+        blocks = np.empty(n, dtype=np.int32)
+        blocks[seqs[p]] = np.arange(n) // size
+        block_of.append(blocks)
+        bob_par.append(np.bitwise_xor.reduceat(bob[seqs[p]], np.arange(0, n, size)))
+        settle(*mismatched_blocks())
+
+    # Verification stage: random subset parities, a frame at a time, until a clean run.
     consecutive = 0
     checks = 0
     while consecutive < verify_parities:
@@ -206,19 +313,22 @@ def reconcile_with_oracle(
                 f"verification found no run of {verify_parities} matching parities"
                 f" in {checks} checks"
             )
-        subset = np.nonzero(rng.random(n) < 0.5)[0]
-        if subset.size == 0:
+        count = min(verify_parities - consecutive, 8 * verify_parities - checks, MAX_SUBSETS)
+        seed = int(rng.integers(0, 2**63))
+        words = _subset_words(seed, n)
+        bad = np.flatnonzero(oracle.verify(seed, count) != _subset_parities(bob, words, count))
+        checks += count
+        first = len(seqs)
+        seqs.extend([None] * count)
+        if bad.size == 0:
+            consecutive += count
             continue
-        checks += 1
-        a_par = oracle.verify_parity(subset)
-        if int(bob[subset].sum() & 1) != a_par:
-            flipped = _binary_search_flip(bob, subset, oracle)
-            queue = []
-            enqueue_affected(flipped, PASSES - 1, queue)
-            correct(queue, PASSES - 1)
-            consecutive = 0
-        else:
-            consecutive += 1
+        # The mismatched subsets mostly share their few errors, so search one
+        # and let the passes' blocks find the rest.
+        s = first + bad[0]
+        seqs[s] = _subset(words, bad[0])
+        settle(np.array([s]), np.array([0]), np.array([len(seqs[s])]))
+        consecutive = 0
     return bob
 
 
@@ -233,7 +343,7 @@ def cascade_reconcile(
 
     Both sides run in-process over ``chan`` (a fresh pair when None), Alice
     answering inline.  Alice's key is never modified; ``leaked_bits`` counts
-    the parity responses Bob received.
+    the parity bits Bob received.
     """
     alice = np.asarray(alice_key, dtype=np.uint8)
     bob = np.asarray(bob_key, dtype=np.uint8)

@@ -7,8 +7,15 @@ Two interchangeable transports carry the reconciliation dialogue:
   stream, each message framed as a 4-byte big-endian length (covering the
   tag and payload) + 1-byte type tag + payload.
 
-Every endpoint carries a leak accountant: each key bit Alice discloses
-(parity or verification responses) increments ``bits_disclosed``.
+Four message types carry CASCADE (:mod:`aqua_qkd.bb84.cascade`, which
+defines their payloads): PARITY_REQUEST holds Bob's (sequence, start, end)
+range records, PARITY_RESPONSE Alice's packed parity bits, PERMUTATION_SEED
+a seed both sides expand into a permutation, and VERIFICATION a seed and a
+count of random subsets (empty to close the dialogue).
+
+Every endpoint carries a leak accountant: each frame's ``disclosed_bits``,
+the number of parity bits a response carries, is added to
+``bits_disclosed``.
 """
 
 from __future__ import annotations
