@@ -4,20 +4,55 @@ Implements the Philox4x32-10 block cipher (Salmon et al., Random123) as a
 pure-numpy vectorized function.  Each (seed, stream, counter) triple maps to
 one uniform double, so any photon history can regenerate its own random
 sequence independently of execution order or worker count.
+
+The cipher runs over its input in blocks of ``_BLOCK`` elements, each held in
+a few uint64 lanes that stay in cache for all ten rounds.  Every element is
+enciphered on its own, so the block length changes only the speed: each value
+is still a pure function of (seed, stream, counter), whatever the array
+around it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_M0 = np.uint64(0xD2511F53)
-_M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint32(0x9E3779B9)
-_W1 = np.uint32(0xBB67AE85)
+# Round multipliers and Weyl key increments, one row per word pair (c0, c2).
+_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
+_W = np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_ROUNDS = 10
+# Elements per cipher block: the six to eight uint64 lanes of a block (128 kB
+# each) stay in L2 across the ten rounds, and the numpy call overhead of a
+# round stays small beside its work.
+_BLOCK = 16_384
 
 # 2^-64 scaling; +1 keeps the output in the half-open interval (0, 1].
 _INV64 = 1.0 / 18446744073709551616.0
+
+
+def _round_keys(keys: np.ndarray) -> list[np.ndarray]:
+    """The keys of all rounds for key words ``keys`` (rows k0, k1), in uint64."""
+    return [(keys + np.uint64(r) * _W) & _MASK32 for r in range(_ROUNDS)]
+
+
+def _rounds(a: np.ndarray, b: np.ndarray, p: np.ndarray, round_keys) -> None:
+    """Encipher one block in place.
+
+    ``a`` holds the multiplied words (c0, c2) and ``b`` the words xored in
+    (c1, c3), as rows of uint64 lanes below 2^32; ``p`` is scratch.  Per round,
+    c0' = hi(c2 * M1) ^ c1 ^ k0, c1' = lo(c2 * M1), c2' = hi(c0 * M0) ^ c3 ^ k1
+    and c3' = lo(c0 * M0): the products taken in reversed row order.
+    """
+    for keys in round_keys:
+        np.multiply(a, _M, out=p)
+        swapped = p[::-1]
+        np.right_shift(swapped, _SHIFT32, out=a)
+        a ^= b
+        a ^= keys
+        np.bitwise_and(swapped, _MASK32, out=b)
 
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
@@ -26,27 +61,26 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     All arguments are uint32 arrays (or scalars) broadcast together.
     Returns the four output words as uint32 arrays.
     """
-    c0 = np.asarray(c0, dtype=np.uint32)
-    c1 = np.asarray(c1, dtype=np.uint32)
-    c2 = np.asarray(c2, dtype=np.uint32)
-    c3 = np.asarray(c3, dtype=np.uint32)
-    k0 = np.asarray(k0, dtype=np.uint32)
-    k1 = np.asarray(k1, dtype=np.uint32)
-    with np.errstate(over="ignore"):  # uint32 wraparound is the round function
-        for _ in range(10):
-            p0 = c0.astype(np.uint64) * _M0
-            p1 = c2.astype(np.uint64) * _M1
-            hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-            lo0 = (p0 & _MASK32).astype(np.uint32)
-            hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-            lo1 = (p1 & _MASK32).astype(np.uint32)
-            c0 = hi1 ^ c1 ^ k0
-            c1 = lo1
-            c2 = hi0 ^ c3 ^ k1
-            c3 = lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return c0, c1, c2, c3
+    words = [np.asarray(w, dtype=np.uint32) for w in (c0, c1, c2, c3, k0, k1)]
+    shape = np.broadcast_shapes(*(w.shape for w in words))
+    size = math.prod(shape)
+    words = [w if w.ndim == 0 else np.broadcast_to(w, shape).reshape(-1) for w in words]
+    scalar_keys = words[4].ndim == words[5].ndim == 0
+    if scalar_keys:
+        round_keys = _round_keys(np.array([[words[4]], [words[5]]], dtype=np.uint64))
+        words = words[:4]
+
+    out = np.empty((4, size), dtype=np.uint32)
+    lanes = np.empty((4, 2, min(size, _BLOCK)), dtype=np.uint64)
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        a, b, p, keys = lanes[:, :, : stop - start]
+        for lane, w in zip((a[0], b[0], a[1], b[1], keys[0], keys[1]), words):
+            lane[...] = w if w.ndim == 0 else w[start:stop]
+        _rounds(a, b, p, round_keys if scalar_keys else _round_keys(keys))
+        out[0::2, start:stop] = a
+        out[1::2, start:stop] = b
+    return tuple(w.reshape(shape)[()] for w in out)
 
 
 def _key_words(seed: int):
@@ -64,14 +98,14 @@ def uniform(seed: int, stream, counter):
     counter = np.asarray(counter, dtype=np.uint64)
     k0, k1 = _key_words(seed)
     w0, w1, _, _ = philox4x32(
-        counter & _MASK32,
-        counter >> np.uint64(32),
-        stream & _MASK32,
-        stream >> np.uint64(32),
+        counter.astype(np.uint32),
+        (counter >> _SHIFT32).astype(np.uint32),
+        stream.astype(np.uint32),
+        (stream >> _SHIFT32).astype(np.uint32),
         k0,
         k1,
     )
-    bits = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
+    bits = (w0.astype(np.uint64) << _SHIFT32) | w1
     return (bits.astype(np.float64) + 1.0) * _INV64
 
 
@@ -84,4 +118,5 @@ def normal_pair(seed: int, stream, counter):
     u1 = uniform(seed, stream, counter)
     u2 = uniform(seed, stream, counter + np.uint64(1))
     r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+    theta = 2.0 * np.pi * u2
+    return r * np.cos(theta), r * np.sin(theta)

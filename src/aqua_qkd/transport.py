@@ -161,27 +161,55 @@ def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.n
     from +z or -z, whichever the photon travels along, so cos_t < 0 reverses
     it.  The result is renormalized to unit length.
     """
+    nx, ny, nz = _rotate_unnormalized(d, cos_t, phi)
+    norm = nx * nx
+    norm += ny * ny
+    norm += nz * nz
+    np.sqrt(norm, out=norm)
+    new = np.empty_like(d)
+    for j, component in enumerate((nx, ny, nz)):
+        np.divide(component, norm, out=new[:, j])
+    return new
+
+
+def _rotate_unnormalized(d, cos_t, phi):
+    """The new direction components of ``rotate_directions`` before renormalizing.
+
+    The formula most photons take is evaluated on the whole batch and the
+    other only on the photons that take it: at the first event nearly every
+    photon of a narrow beam is on the axis, and after that nearly none is.
+    Either way a photon gets the same floating-point result as when rotated
+    alone.  Its temporaries are freed before the renormalization, which
+    keeps the transport's peak memory down.
+    """
     sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    cos_p, sin_p = np.cos(phi), np.sin(phi)
+    straight = np.abs(d[:, 2]) > 0.99999
+    if 2 * np.count_nonzero(straight) > straight.size:
+        most, other, rest = _about_z_axis, _off_axis, ~straight
+    else:
+        most, other, rest = _off_axis, _about_z_axis, straight
+    nx, ny, nz = most(d, sin_t, cos_t, cos_p, sin_p)
+    idx = np.flatnonzero(rest)
+    if idx.size:
+        nx[idx], ny[idx], nz[idx] = other(d[idx], sin_t[idx], cos_t[idx], cos_p[idx], sin_p[idx])
+    return nx, ny, nz
+
+
+def _about_z_axis(d, sin_t, cos_t, cos_p, sin_p):
+    """Unnormalized new directions of photons travelling along +z or -z."""
+    return sin_t * cos_p, sin_t * sin_p, np.copysign(1.0, d[:, 2]) * cos_t
+
+
+def _off_axis(d, sin_t, cos_t, cos_p, sin_p):
+    """Unnormalized new directions by the general formula (|uz| <= 0.99999)."""
     ux, uy, uz = d[:, 0], d[:, 1], d[:, 2]
-    straight = np.abs(uz) > 0.99999
     den = np.sqrt(np.maximum(1.0 - uz * uz, 1e-30))
-    nx = np.where(
-        straight,
-        sin_t * np.cos(phi),
-        sin_t * (ux * uz * np.cos(phi) - uy * np.sin(phi)) / den + ux * cos_t,
+    return (
+        sin_t * (ux * uz * cos_p - uy * sin_p) / den + ux * cos_t,
+        sin_t * (uy * uz * cos_p + ux * sin_p) / den + uy * cos_t,
+        -sin_t * cos_p * den + uz * cos_t,
     )
-    ny = np.where(
-        straight,
-        sin_t * np.sin(phi),
-        sin_t * (uy * uz * np.cos(phi) + ux * np.sin(phi)) / den + uy * cos_t,
-    )
-    nz = np.where(
-        straight,
-        np.copysign(1.0, uz) * cos_t,
-        -sin_t * np.cos(phi) * den + uz * cos_t,
-    )
-    norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-    return np.stack([nx / norm, ny / norm, nz / norm], axis=1)
 
 
 def receiver_accepts(x: np.ndarray, y: np.ndarray, dz: np.ndarray, ch: ChannelParams) -> np.ndarray:
@@ -214,7 +242,8 @@ def _simulate_batch(
         step = -np.log(rngstream.uniform(seed, ids, base)) / ch.attenuation
 
         dz = d[:, 2]
-        exiting = (dz > 0) & ((ch.length - pos[:, 2]) / np.where(dz > 0, dz, 1.0) <= step)
+        forward = dz > 0
+        exiting = forward & ((ch.length - pos[:, 2]) / np.where(forward, dz, 1.0) <= step)
         if exiting.any():
             pe, de = pos[exiting], d[exiting]
             t = (ch.length - pe[:, 2]) / de[:, 2]
@@ -223,14 +252,17 @@ def _simulate_batch(
 
         pos += step[:, None] * d
         gone = exiting | (pos[:, 2] < 0) | (np.hypot(pos[:, 0], pos[:, 1]) > ch.lateral_bound)
-        ids, pos, d = ids[~gone], pos[~gone], d[~gone]
+        # Survivors as indices into pos and d, gathered once after absorption.
+        live = np.flatnonzero(~gone)
+        ids = ids[live]
         if ids.size == 0:
             break
 
         kept = rngstream.uniform(seed, ids, base + np.uint64(1)) >= p_absorb
-        ids, pos, d = ids[kept], pos[kept], d[kept]
+        live, ids = live[kept], ids[kept]
         if ids.size == 0:
             break
+        pos, d = pos[live], d[live]
 
         u_lobe = rngstream.uniform(seed, ids, base + np.uint64(2))
         u_cos = rngstream.uniform(seed, ids, base + np.uint64(3))
@@ -238,6 +270,11 @@ def _simulate_batch(
         cos_t = sample_tthg_cosine(ch.phase_fn, u_lobe, u_cos)
         d = rotate_directions(d, cos_t, 2.0 * np.pi * u_phi)
 
+    if ids.size:
+        raise RuntimeError(
+            f"{ids.size} photons still in flight at the cap of {_MAX_EVENTS} events "
+            f"(batch of photons {start}..{start + count - 1})"
+        )
     return received[0], received[1]
 
 
@@ -249,8 +286,9 @@ def run_transport(
     Photons run in batches of ``_BATCH``, over ``n_workers`` processes when
     there is more than one batch.  Deterministic for fixed (seed, n_photons):
     every photon index owns its own counter-based substream, and batch/worker
-    partitioning only changes the order of commutative integer sums.  A photon
-    still in flight after ``_MAX_EVENTS`` events is not counted as received.
+    partitioning only changes the order of commutative integer sums.  Raises
+    ``RuntimeError`` if any photon is still in flight after ``_MAX_EVENTS``
+    events, rather than dropping it from the counts.
     """
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")

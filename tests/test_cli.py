@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aqua_qkd import experiments
+from aqua_qkd import experiments, transport
 from aqua_qkd.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from aqua_qkd.experiments import (
     SWEEP_CSV_HEADER,
@@ -148,6 +148,12 @@ class TestExitCodes:
         # Far too few pulses to build a minimum-length sifted key.
         doc = {"scenario": "bb84-run", "session": {"n_pulses": 5_000}}
         assert main(["bb84-run", "--config", write_config(tmp_path, "c.json", doc)]) == EXIT_RUNTIME
+
+    def test_photons_left_at_the_event_cap_exit_runtime(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_EVENTS", 1)
+        path = write_config(tmp_path, "c.json", MC_DOC)
+        assert main(["mc-channel", "--config", path]) == EXIT_RUNTIME
+        assert "photons still in flight" in capsys.readouterr().err
 
 
 class TestOutputs:

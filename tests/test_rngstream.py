@@ -85,3 +85,80 @@ class TestNormalPair:
         n = 50_000
         g1, g2 = rngstream.normal_pair(13, np.arange(n, dtype=np.uint64), np.uint64(0))
         assert abs(np.corrcoef(g1, g2)[0, 1]) < 0.02
+
+
+class TestKnownAnswers:
+    # Philox4x32-10 vectors from the Random123 distribution (kat_vectors):
+    # counter words, key words, expected output words.
+    VECTORS = [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        (
+            (0xFFFFFFFF,) * 4,
+            (0xFFFFFFFF,) * 2,
+            (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD),
+        ),
+        (
+            (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+            (0xA4093822, 0x299F31D0),
+            (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+        ),
+    ]
+
+    @pytest.mark.parametrize("ctr,key,expected", VECTORS)
+    def test_scalar_words(self, ctr, key, expected):
+        words = rngstream.philox4x32(*ctr, *key)
+        assert [int(w) for w in words] == list(expected)
+
+    def test_vector_words(self):
+        ctr, key, expected = zip(*self.VECTORS)
+        cols = [np.array(c, dtype=np.uint32) for c in zip(*ctr)]
+        keys = [np.array(k, dtype=np.uint32) for k in zip(*key)]
+        words = rngstream.philox4x32(*cols, *keys)
+        for w, exp in zip(words, zip(*expected)):
+            assert w.dtype == np.uint32
+            np.testing.assert_array_equal(w, np.array(exp, dtype=np.uint32))
+
+    def test_vector_keys_match_a_scalar_loop(self):
+        rng = np.random.default_rng(17)
+        n = 40
+        c0, c1, c2, c3, k0, k1 = rng.integers(0, 2**32, (6, n), dtype=np.uint32)
+        words = rngstream.philox4x32(c0, c1, c2, c3, k0, k1)
+        for i in range(n):
+            one = rngstream.philox4x32(c0[i], c1[i], c2[i], c3[i], k0[i], k1[i])
+            assert [int(w[i]) for w in words] == [int(w) for w in one]
+        # A scalar key word broadcasts against a vector one.
+        mixed = rngstream.philox4x32(c0, c1, c2, c3, k0, k1[0])
+        for i in range(n):
+            one = rngstream.philox4x32(c0[i], c1[i], c2[i], c3[i], k0[i], k1[0])
+            assert [int(w[i]) for w in mixed] == [int(w) for w in one]
+
+
+class TestBlocks:
+    def test_uniform_is_independent_of_the_block_edges(self):
+        block = rngstream._BLOCK
+        n = 2 * block + 3
+        rng = np.random.default_rng(23)
+        streams = rng.integers(0, 2**64, n, dtype=np.uint64)
+        counters = rng.integers(0, 2**64, n, dtype=np.uint64)
+        whole = rngstream.uniform(31, streams, counters)
+        cuts = [0, 5, block - 1, block + 1, block + 2, 2 * block + 1, n]
+        parts = [
+            rngstream.uniform(31, streams[a:b], counters[a:b]) for a, b in zip(cuts, cuts[1:])
+        ]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        assert rngstream.uniform(31, streams[n - 1], counters[n - 1]) == whole[n - 1]
+
+    def test_philox_is_independent_of_the_block_edges(self):
+        block = rngstream._BLOCK
+        n = 2 * block + 3
+        c = np.arange(n, dtype=np.uint32)
+        whole = rngstream.philox4x32(c, 1, c, 2, 3, 4)
+        for a, b in ((0, block + 1), (block + 1, n)):
+            part = rngstream.philox4x32(c[a:b], 1, c[a:b], 2, 3, 4)
+            for w, p in zip(whole, part):
+                np.testing.assert_array_equal(w[a:b], p)
+
+    def test_empty_input(self):
+        u = rngstream.uniform(1, np.array([], dtype=np.uint64), np.uint64(0))
+        assert u.dtype == np.float64
+        assert u.shape == (0,)

@@ -154,6 +154,23 @@ class TestPropagate:
         np.testing.assert_allclose(new[:, 0], sin_t * np.cos(phi), atol=1e-12)
         np.testing.assert_allclose(new[:, 1], sin_t * np.sin(phi), atol=1e-12)
 
+    @pytest.mark.parametrize("n_oblique", [0, 1, 3, 6])
+    def test_rotation_of_a_row_does_not_depend_on_the_batch(self, n_oblique):
+        # Rows along +z and -z (|uz| > 0.99999) mixed with oblique rows, in
+        # proportions that make either formula the one most rows take (no
+        # oblique row: an all-on-axis batch).
+        rng = np.random.default_rng(12)
+        on_axis = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-3, 0.0, math.sqrt(1 - 1e-6)],
+                   [0.0, -2e-3, -math.sqrt(1 - 4e-6)]]
+        d = np.vstack([on_axis, unit_directions(n_oblique, rng)])
+        d = d[rng.permutation(len(d))]
+        cos_t = 2.0 * rng.random(len(d)) - 1.0
+        phi = 2.0 * np.pi * rng.random(len(d))
+        batch = rotate_directions(d, cos_t, phi)
+        for i in range(len(d)):
+            alone = rotate_directions(d[i : i + 1], cos_t[i : i + 1], phi[i : i + 1])
+            np.testing.assert_array_equal(batch[i], alone[0])
+
     def test_exit_plane_flag(self):
         # In a near-vacuum channel every photon reaches the exit plane
         # unscattered, inside the aperture and the FOV.
@@ -224,6 +241,15 @@ class TestRunTransport:
             stats = run_transport(ch, BeamParams(), 200_000, seed=7)
             fractions.append(stats.scattered_fraction_of_received)
         assert fractions[0] >= fractions[1] >= fractions[2]
+
+    def test_photons_left_at_the_event_cap_raise(self, monkeypatch):
+        # On the tank channel most photons scatter at their first event, so a
+        # cap of one event leaves them in flight; they must not be dropped.
+        monkeypatch.setattr(transport, "_MAX_EVENTS", 1)
+        with pytest.raises(RuntimeError, match="photons still in flight") as err:
+            run_transport(ChannelParams(**WATER), BeamParams(), 10_000, seed=8)
+        in_flight = int(str(err.value).split()[0])
+        assert 0 < in_flight < 10_000
 
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):
