@@ -2,8 +2,9 @@
 
 Implements the Philox4x32-10 block cipher (Salmon et al., Random123) as a
 pure-numpy vectorized function.  Each (seed, stream, counter) triple maps to
-one uniform double, so any photon history can regenerate its own random
-sequence independently of execution order or worker count.
+one cipher block, whose four 32-bit words make two uniform doubles, so any
+photon history can regenerate its own random sequence independently of
+execution order or worker count.
 
 The cipher runs over its input in blocks of ``_BLOCK`` elements, each held in
 a few uint64 lanes that stay in cache for all ten rounds.  Every element is
@@ -89,15 +90,18 @@ def _key_words(seed: int):
 
 
 def uniform(seed: int, stream, counter):
-    """Uniform double in (0, 1] for each (stream, counter) pair.
+    """The two uniform doubles in (0, 1] of the block at each (stream, counter).
 
-    ``stream`` and ``counter`` are broadcastable uint64 arrays; the value is
-    a pure function of (seed, stream, counter).
+    ``stream`` and ``counter`` are broadcastable uint64 arrays.  Returns a
+    float64 array of shape ``(2, *broadcast(stream, counter))``, a pure
+    function of (seed, stream, counter).  Of the block's words w0..w3, row 0
+    is built from ``w0 << 32 | w1`` and row 1 from ``w2 << 32 | w3``: the
+    64-bit integer rounded to a double, plus 1, times 2^-64.
     """
     stream = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
     k0, k1 = _key_words(seed)
-    w0, w1, _, _ = philox4x32(
+    w0, w1, w2, w3 = philox4x32(
         counter.astype(np.uint32),
         (counter >> _SHIFT32).astype(np.uint32),
         stream.astype(np.uint32),
@@ -105,18 +109,22 @@ def uniform(seed: int, stream, counter):
         k0,
         k1,
     )
-    bits = (w0.astype(np.uint64) << _SHIFT32) | w1
-    return (bits.astype(np.float64) + 1.0) * _INV64
+    out = np.empty((2, *np.shape(w0)), dtype=np.float64)
+    bits = np.empty(out.shape[1:], dtype=np.uint64)
+    for row, hi, lo in ((out[0, ...], w0, w1), (out[1, ...], w2, w3)):
+        np.left_shift(hi, _SHIFT32, out=bits, dtype=np.uint64)
+        bits |= lo
+        np.add(bits, 1.0, out=row)
+    out *= _INV64
+    return out
 
 
 def normal_pair(seed: int, stream, counter):
     """Two independent standard normals per stream via Box-Muller.
 
-    Consumes counters ``counter`` and ``counter + 1``.
+    Takes both uniforms of the one block at ``counter``.
     """
-    counter = np.asarray(counter, dtype=np.uint64)
-    u1 = uniform(seed, stream, counter)
-    u2 = uniform(seed, stream, counter + np.uint64(1))
+    u1, u2 = uniform(seed, stream, counter)
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     return r * np.cos(theta), r * np.sin(theta)

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import rngstream
 
-# Per-photon draw-slot layout: 4 slots for the source sample, then a fixed
-# stride of 5 per transport step (path, absorb, lobe choice, cos(theta),
-# azimuth), so a photon's stream never depends on other photons' histories.
-_SOURCE_SLOTS = 4
-_STEP_STRIDE = 5
+# Per-photon counter layout; each counter is one cipher block, two uniforms.
+# Counters 0 and 1 give the source its two Box-Muller pairs.  Event k uses
+# counter 2 + 2k for (path, absorb), drawn for every photon in flight, and
+# 3 + 2k for (scatter, azimuth), drawn for the photons that scatter; so a
+# photon's stream never depends on other photons' histories.
+_SOURCE_COUNTERS = 2
 # Photons per batch (one worker task), and the event cap per photon history.
-_BATCH = 262_144
+_BATCH = 65_536
 _MAX_EVENTS = 10_000
 
 
@@ -116,14 +117,14 @@ class TransportStats:
 def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Launch photons ``ids`` from the Gaussian source at the entrance plane.
 
-    Uses draw slots 0..3 of each photon's substream.  Transverse offsets are
+    Uses counters 0 and 1 of each photon's substream.  Transverse offsets are
     normal with sigma = waist_radius / 2 per axis; the direction is tilted by
     per-axis normal angles with sigma equal to the divergence half-angle, then
     renormalized.  Returns (positions, directions), each of shape (n, 3).
     """
     count = len(ids)
     gx, gy = rngstream.normal_pair(seed, ids, np.uint64(0))
-    tx, ty = rngstream.normal_pair(seed, ids, np.uint64(2))
+    tx, ty = rngstream.normal_pair(seed, ids, np.uint64(1))
     sigma = beam.waist_radius / 2.0
     x = gx * sigma
     y = gy * sigma
@@ -136,18 +137,32 @@ def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndar
     return pos, d
 
 
-def sample_tthg_cosine(p: TTHGParams, u_lobe: np.ndarray, u_cos: np.ndarray) -> np.ndarray:
-    """Polar scattering cosines from the two-term HG mixture (inverse CDF).
+def sample_tthg_cosine(p: TTHGParams, u: np.ndarray) -> np.ndarray:
+    """Polar scattering cosines from the two-term HG mixture, one uniform each.
 
-    ``u_lobe`` picks the lobe (g1 when below alpha); ``u_cos`` inverts that
-    lobe's CDF.
+    ``u <= alpha`` picks lobe g1, and ``u`` is rescaled into that lobe, to
+    ``u / alpha`` or ``(u - alpha) / (1 - alpha)``, both uniform on (0, 1],
+    before it inverts the lobe's CDF: exactly the mixture's law, from one draw.
     """
-    g = np.where(u_lobe < p.alpha, p.g1, p.g2)
+    if p.alpha == 1.0:
+        return _hg_cosine(p.g1, u)
+    if p.alpha == 0.0:
+        return _hg_cosine(p.g2, u)
+    first = u <= p.alpha
+    g = np.where(first, p.g1, p.g2)
+    v = u / p.alpha
+    second = np.flatnonzero(~first)
+    v[second] = (u[second] - p.alpha) / (1.0 - p.alpha)
+    return _hg_cosine(g, v)
+
+
+def _hg_cosine(g, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the Henyey-Greenstein lobe(s) ``g`` at uniforms ``u``."""
     near_iso = np.abs(g) < 1e-6
-    frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u_cos)
+    frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u)
     cos_t = np.where(
         near_iso,
-        2.0 * u_cos - 1.0,
+        2.0 * u - 1.0,
         (1.0 + g * g - frac * frac) / np.where(near_iso, 1.0, 2.0 * g),
     )
     return np.clip(cos_t, -1.0, 1.0)
@@ -232,14 +247,16 @@ def _simulate_batch(
     ids = np.arange(start, start + count, dtype=np.uint64)
     pos, d = sample_source(beam, seed, ids)
 
-    received = [0, 0]  # [unscattered, scattered], indexed by step_idx > 0
+    received = [0, 0]  # [unscattered, scattered], indexed by event > 0
     p_absorb = ch.absorption / ch.attenuation
 
-    for step_idx in range(_MAX_EVENTS):
+    for event in range(_MAX_EVENTS):
         if ids.size == 0:
             break
-        base = np.uint64(_SOURCE_SLOTS + _STEP_STRIDE * step_idx)
-        step = -np.log(rngstream.uniform(seed, ids, base)) / ch.attenuation
+        counter = np.uint64(_SOURCE_COUNTERS + 2 * event)
+        path, absorb = rngstream.uniform(seed, ids, counter)
+        step = np.log(path)
+        step /= -ch.attenuation
 
         dz = d[:, 2]
         forward = dz > 0
@@ -248,27 +265,24 @@ def _simulate_batch(
             pe, de = pos[exiting], d[exiting]
             t = (ch.length - pe[:, 2]) / de[:, 2]
             ok = receiver_accepts(pe[:, 0] + t * de[:, 0], pe[:, 1] + t * de[:, 1], de[:, 2], ch)
-            received[step_idx > 0] += int(np.count_nonzero(ok))
+            received[event > 0] += int(np.count_nonzero(ok))
 
         pos += step[:, None] * d
         gone = exiting | (pos[:, 2] < 0) | (np.hypot(pos[:, 0], pos[:, 1]) > ch.lateral_bound)
-        # Survivors as indices into pos and d, gathered once after absorption.
+        # Survivors as indices into pos, d and absorb, gathered once after
+        # absorption.
         live = np.flatnonzero(~gone)
+        kept = absorb[live] >= p_absorb
+        live = live[kept]
         ids = ids[live]
-        if ids.size == 0:
-            break
-
-        kept = rngstream.uniform(seed, ids, base + np.uint64(1)) >= p_absorb
-        live, ids = live[kept], ids[kept]
         if ids.size == 0:
             break
         pos, d = pos[live], d[live]
 
-        u_lobe = rngstream.uniform(seed, ids, base + np.uint64(2))
-        u_cos = rngstream.uniform(seed, ids, base + np.uint64(3))
-        u_phi = rngstream.uniform(seed, ids, base + np.uint64(4))
-        cos_t = sample_tthg_cosine(ch.phase_fn, u_lobe, u_cos)
-        d = rotate_directions(d, cos_t, 2.0 * np.pi * u_phi)
+        scatter, azimuth = rngstream.uniform(seed, ids, counter + np.uint64(1))
+        cos_t = sample_tthg_cosine(ch.phase_fn, scatter)
+        azimuth *= 2.0 * np.pi
+        d = rotate_directions(d, cos_t, azimuth)
 
     if ids.size:
         raise RuntimeError(

@@ -35,26 +35,26 @@ MC_CHANNEL = ExperimentConfig(
 MC_CHANNEL_OUT = """\
 {
   "launched": 20000,
-  "received": 3974,
-  "received_unscattered": 3956,
-  "received_scattered": 18,
-  "ballistic_transmission": 0.1978,
-  "scattered_fraction_of_received": 0.00452944
+  "received": 3946,
+  "received_unscattered": 3934,
+  "received_scattered": 12,
+  "ballistic_transmission": 0.1967,
+  "scattered_fraction_of_received": 0.00304105
 }
 """
 
-# Two transport batches with a ragged tail, on two worker processes.
+# Five transport batches, the last one ragged, on two worker processes.
 MC_CHANNEL_POOLED = dataclasses.replace(
     MC_CHANNEL, parameters=dict(MC_CHANNEL.parameters, n_photons=300_000, n_workers=2)
 )
 MC_CHANNEL_POOLED_OUT = """\
 {
   "launched": 300000,
-  "received": 59448,
-  "received_unscattered": 59205,
-  "received_scattered": 243,
-  "ballistic_transmission": 0.19735,
-  "scattered_fraction_of_received": 0.00408761
+  "received": 59288,
+  "received_unscattered": 59058,
+  "received_scattered": 230,
+  "ballistic_transmission": 0.19686,
+  "scattered_fraction_of_received": 0.00387937
 }
 """
 
@@ -108,20 +108,33 @@ def test_rendered_output_is_pinned(cfg, expected):
 
 
 def test_mc_channel_draw_budget(monkeypatch):
-    """The transport draws each uniform it needs once, and none for photons
-    that have already left: the pinned output alone would not show extra
-    draws, since every draw is a pure function of its counter."""
-    sizes = []
-    real = rngstream.uniform
+    """The transport draws each cipher block it needs once, and none for
+    photons that have already left: the pinned output alone would not show
+    extra draws, since every draw is a pure function of its counter.
+
+    A photon's cost is its cipher lanes (blocks enciphered), each two
+    uniforms: two for the source, one (path, absorb) per event in flight and
+    one (scatter, azimuth) per scattering.  The absorb half is also drawn for
+    photons that exit at that event, and goes unused.
+    """
+    sizes, lanes = [], []
+    real_uniform, real_philox = rngstream.uniform, rngstream.philox4x32
 
     def counting(seed, stream, counter):
-        out = real(seed, stream, counter)
+        out = real_uniform(seed, stream, counter)
         sizes.append(out.size)
         return out
 
+    def cipher(*words):
+        out = real_philox(*words)
+        lanes.append(out[0].size)
+        return out
+
     monkeypatch.setattr(rngstream, "uniform", counting)
+    monkeypatch.setattr(rngstream, "philox4x32", cipher)
     assert run_scenario(MC_CHANNEL) == MC_CHANNEL_OUT
-    assert sum(sizes) == 219_197
+    assert sum(lanes) == 105_986
+    assert sum(sizes) == 2 * sum(lanes)
     assert min(sizes) > 0
 
 

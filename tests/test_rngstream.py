@@ -29,8 +29,11 @@ class TestUniform:
 
     def test_scalar_matches_vector(self):
         vec = rngstream.uniform(9, np.arange(16, dtype=np.uint64), np.uint64(5))
+        assert vec.shape == (2, 16)
         for i in range(16):
-            assert rngstream.uniform(9, np.uint64(i), np.uint64(5)) == vec[i]
+            one = rngstream.uniform(9, np.uint64(i), np.uint64(5))
+            assert one.shape == (2,)
+            np.testing.assert_array_equal(one, vec[:, i])
 
     def test_mean_and_variance(self):
         n = 200_000
@@ -44,6 +47,50 @@ class TestUniform:
         b = rngstream.uniform(5, streams, np.uint64(1))
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.02
+
+    def test_rows_and_counters_uncorrelated(self):
+        # Both halves of the blocks at two counters: four rows, six pairs.
+        streams = np.arange(50_000, dtype=np.uint64)
+        rows = np.vstack([rngstream.uniform(5, streams, np.uint64(c)) for c in (0, 1)])
+        corr = np.corrcoef(rows)[np.triu_indices(4, 1)]
+        assert np.all(np.abs(corr) < 0.02)
+
+
+class TestPairKnownAnswers:
+    # Row 0 of ``uniform`` at (seed, stream, counter), pinned from the version
+    # that returned one double per block: row 0 keeps that value.
+    ROW0 = [
+        ((0, 0, 0), "0x1.989fa35785a71p-2"),
+        ((42, 7, 3), "0x1.28b795b4fc85bp-1"),
+        ((2**64 - 1, 2**64 - 1, 2**64 - 1), "0x1.023c9db50720fp-2"),
+    ]
+
+    @pytest.mark.parametrize("args,expected", ROW0)
+    def test_row0_is_pinned(self, args, expected):
+        seed, stream, counter = args
+        u = rngstream.uniform(seed, np.uint64(stream), np.uint64(counter))
+        assert float(u[0]).hex() == expected
+
+    def test_rows_are_the_block_words(self):
+        # Row 0 is built from words (w0, w1) and row 1 from (w2, w3): the
+        # 64-bit integer hi << 32 | lo is rounded to a double, then 1.0 is
+        # added and the sum scaled by 2^-64.  (Adding the 1 before rounding
+        # gives a different double for about 1 value in 400.)
+        rng = np.random.default_rng(29)
+        streams = rng.integers(0, 2**64, 300, dtype=np.uint64)
+        counters = rng.integers(0, 2**64, 300, dtype=np.uint64)
+        seed = 0x0123456789ABCDEF
+        u = rngstream.uniform(seed, streams, counters)
+        assert u.shape == (2, 300)
+        assert u.dtype == np.float64
+        low = 0xFFFFFFFF
+        for i, (s, c) in enumerate(zip(streams.tolist(), counters.tolist())):
+            words = rngstream.philox4x32(
+                c & low, c >> 32, s & low, s >> 32, seed & low, seed >> 32
+            )
+            w0, w1, w2, w3 = (int(w) for w in words)
+            assert u[0, i] == (float(w0 << 32 | w1) + 1.0) * 2.0**-64
+            assert u[1, i] == (float(w2 << 32 | w3) + 1.0) * 2.0**-64
 
 
 class TestPhilox:
@@ -145,8 +192,9 @@ class TestBlocks:
         parts = [
             rngstream.uniform(31, streams[a:b], counters[a:b]) for a, b in zip(cuts, cuts[1:])
         ]
-        np.testing.assert_array_equal(whole, np.concatenate(parts))
-        assert rngstream.uniform(31, streams[n - 1], counters[n - 1]) == whole[n - 1]
+        np.testing.assert_array_equal(whole, np.concatenate(parts, axis=1))
+        last = rngstream.uniform(31, streams[n - 1], counters[n - 1])
+        np.testing.assert_array_equal(last, whole[:, n - 1])
 
     def test_philox_is_independent_of_the_block_edges(self):
         block = rngstream._BLOCK
@@ -161,4 +209,4 @@ class TestBlocks:
     def test_empty_input(self):
         u = rngstream.uniform(1, np.array([], dtype=np.uint64), np.uint64(0))
         assert u.dtype == np.float64
-        assert u.shape == (0,)
+        assert u.shape == (2, 0)

@@ -62,6 +62,18 @@ def uniforms(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).random(n)
 
 
+def tthg_cdf(p: TTHGParams, mu: float) -> float:
+    """P(cos theta <= mu) under the two-term HG mixture, in closed form."""
+
+    def lobe(g):
+        if g == 0.0:
+            return (1.0 + mu) / 2.0
+        root = math.sqrt(1.0 + g * g - 2.0 * g * mu)
+        return (1.0 - g * g) / (2.0 * g) * (1.0 / root - 1.0 / (1.0 + g))
+
+    return p.alpha * lobe(p.g1) + (1.0 - p.alpha) * lobe(p.g2)
+
+
 def unit_directions(n: int, rng) -> np.ndarray:
     d = rng.normal(size=(n, 3))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -94,20 +106,52 @@ class TestSampling:
     def test_single_lobe_mean_cosine(self):
         # A pure HG lobe has mean cosine exactly g.
         p = TTHGParams(alpha=1.0, g1=0.65, g2=0.0)
-        cosines = sample_tthg_cosine(p, uniforms(2, 200_000), uniforms(12, 200_000))
+        cosines = sample_tthg_cosine(p, uniforms(2, 200_000))
         assert cosines.mean() == pytest.approx(0.65, abs=0.005)
         assert np.all(np.abs(cosines) <= 1.0)
 
     def test_mixture_mean_cosine(self):
         p = TTHGParams()
         expected = p.alpha * p.g1 + (1 - p.alpha) * p.g2
-        cosines = sample_tthg_cosine(p, uniforms(3, 200_000), uniforms(13, 200_000))
+        cosines = sample_tthg_cosine(p, uniforms(3, 200_000))
         assert cosines.mean() == pytest.approx(expected, abs=0.005)
 
     def test_isotropic_limit(self):
         p = TTHGParams(alpha=1.0, g1=0.0, g2=0.0)
-        cosines = sample_tthg_cosine(p, uniforms(4, 100_000), uniforms(14, 100_000))
+        cosines = sample_tthg_cosine(p, uniforms(4, 100_000))
         assert cosines.mean() == pytest.approx(0.0, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "p", [TTHGParams(), TTHGParams(alpha=0.6, g1=0.9, g2=-0.5)], ids=["default", "even"]
+    )
+    def test_cosines_follow_the_mixture_cdf(self, p):
+        # The one-uniform sampler against the closed-form CDF of the
+        # mixture, within 4.5 binomial standard errors at each point.
+        n = 400_000
+        cosines = sample_tthg_cosine(p, 1.0 - uniforms(5, n))
+        for mu in (-0.95, -0.8, -0.5, -0.2, 0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
+            expected = tthg_cdf(p, mu)
+            sigma = math.sqrt(expected * (1 - expected) / n)
+            assert abs(np.mean(cosines <= mu) - expected) < 4.5 * sigma, mu
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("g", [0.65, 0.0, -0.3])
+    def test_single_lobe_alpha_takes_one_branch(self, alpha, g):
+        # alpha = 1 is lobe g1 alone and alpha = 0 lobe g2 alone: the uniform
+        # goes to that lobe's inverse CDF unscaled, and the other lobe's
+        # rescale, which would divide by zero, is never evaluated.
+        other = 0.9
+        p = TTHGParams(alpha=alpha, g1=g if alpha else other, g2=other if alpha else g)
+        # The extremes of rngstream.uniform, 2^-64 and 1, included.
+        u = np.concatenate([1.0 - uniforms(6, 10_000), [2.0**-64, 0.5, 1.0]])
+        with np.errstate(all="raise"):
+            cosines = sample_tthg_cosine(p, u)
+        if g == 0.0:
+            expected = 2.0 * u - 1.0
+        else:
+            frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u)
+            expected = np.clip((1.0 + g * g - frac * frac) / (2.0 * g), -1.0, 1.0)
+        np.testing.assert_allclose(cosines, expected, rtol=0, atol=1e-12)
 
     def test_source_statistics(self):
         beam = BeamParams(waist_radius=2.5e-3, divergence_half_angle=1e-3)
@@ -127,7 +171,7 @@ class TestPropagate:
         p = TTHGParams()
         d = unit_directions(2_000, rng)
         for _ in range(200):
-            cos_t = sample_tthg_cosine(p, rng.random(len(d)), rng.random(len(d)))
+            cos_t = sample_tthg_cosine(p, rng.random(len(d)))
             d = rotate_directions(d, cos_t, 2.0 * np.pi * rng.random(len(d)))
             assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) < 1e-9
 
@@ -229,9 +273,11 @@ class TestRunTransport:
         beam = BeamParams()
         monkeypatch.setattr(transport, "_BATCH", 1_000)
         a = run_transport(ch, beam, 40_000, seed=6)
-        monkeypatch.setattr(transport, "_BATCH", 262_144)
+        monkeypatch.setattr(transport, "_BATCH", 65_536)
         b = run_transport(ch, beam, 40_000, seed=6)
-        assert a == b
+        monkeypatch.setattr(transport, "_BATCH", 262_144)
+        c = run_transport(ch, beam, 40_000, seed=6)
+        assert a == b == c
 
     def test_scattered_fraction_monotone_in_fov(self):
         # Same seed: histories are identical, only the acceptance cone changes.
