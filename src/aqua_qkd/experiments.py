@@ -173,6 +173,16 @@ def _session_config(params: dict, seed: int, transmission: float | None = None) 
         )
 
 
+def _whole_count(params: dict, key: str, default: int) -> int:
+    """``params[key]`` (or ``default``) as an int; it must be a whole number >= 1."""
+    value = params.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be a whole number >= 1, got {value!r}")
+    return value
+
+
 def _run_mc_channel(cfg: ExperimentConfig) -> dict:
     p = cfg.parameters
     with _reading("mc-channel parameters"):
@@ -180,8 +190,8 @@ def _run_mc_channel(cfg: ExperimentConfig) -> dict:
         phase_fn = TTHGParams(**ch.pop("phase_fn", {}))
         channel = ChannelParams(phase_fn=phase_fn, **ch)
         beam = BeamParams(**p.get("beam", {}))
-        n_photons = int(p.get("n_photons", 1_000_000))
-        n_workers = int(p.get("n_workers", 1))
+        n_photons = _whole_count(p, "n_photons", 1_000_000)
+        n_workers = _whole_count(p, "n_workers", 1)
     stats = run_transport(channel, beam, n_photons=n_photons, seed=cfg.seed, n_workers=n_workers)
     return stats.to_dict()
 

@@ -32,6 +32,7 @@ _BLOCK = 16_384
 
 # 2^-64 scaling; +1 keeps the output in the half-open interval (0, 1].
 _INV64 = 1.0 / 18446744073709551616.0
+_TWO32 = 4294967296.0
 
 
 def _round_keys(keys: np.ndarray) -> list[np.ndarray]:
@@ -96,7 +97,8 @@ def uniform(seed: int, stream, counter):
     float64 array of shape ``(2, *broadcast(stream, counter))``, a pure
     function of (seed, stream, counter).  Of the block's words w0..w3, row 0
     is built from ``w0 << 32 | w1`` and row 1 from ``w2 << 32 | w3``: the
-    64-bit integer rounded to a double, plus 1, times 2^-64.
+    64-bit integer rounded to a double, plus 1, times 2^-64 (see
+    ``_words_to_unit``).
     """
     stream = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
@@ -110,13 +112,21 @@ def uniform(seed: int, stream, counter):
         k1,
     )
     out = np.empty((2, *np.shape(w0)), dtype=np.float64)
-    bits = np.empty(out.shape[1:], dtype=np.uint64)
-    for row, hi, lo in ((out[0, ...], w0, w1), (out[1, ...], w2, w3)):
-        np.left_shift(hi, _SHIFT32, out=bits, dtype=np.uint64)
-        bits |= lo
-        np.add(bits, 1.0, out=row)
-    out *= _INV64
+    _words_to_unit(w0, w1, out[0, ...])
+    _words_to_unit(w2, w3, out[1, ...])
     return out
+
+
+def _words_to_unit(hi, lo, out) -> None:
+    """Write ``(float(hi << 32 | lo) + 1) * 2^-64`` for uint32 words into ``out``.
+
+    The 64-bit integer is never formed: ``hi * 2^32`` is exact in float64,
+    so adding ``lo`` rounds once, to the same double as rounding the integer.
+    """
+    np.multiply(hi, _TWO32, out=out)
+    out += lo
+    out += 1.0
+    out *= _INV64
 
 
 def normal_pair(seed: int, stream, counter):

@@ -120,21 +120,21 @@ def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndar
     Uses counters 0 and 1 of each photon's substream.  Transverse offsets are
     normal with sigma = waist_radius / 2 per axis; the direction is tilted by
     per-axis normal angles with sigma equal to the divergence half-angle, then
-    renormalized.  Returns (positions, directions), each of shape (n, 3).
+    renormalized by ``sqrt((dx*dx + dy*dy) + 1)``, summed in the order
+    ``np.linalg.norm`` sums.  Returns (positions, directions), each of shape
+    (n, 3) and Fortran-ordered: the transposes of (3, n) arrays built one
+    contiguous row per component, which is the layout the kernel works in.
     """
     count = len(ids)
     gx, gy = rngstream.normal_pair(seed, ids, np.uint64(0))
     tx, ty = rngstream.normal_pair(seed, ids, np.uint64(1))
     sigma = beam.waist_radius / 2.0
-    x = gx * sigma
-    y = gy * sigma
-    d = np.stack(
-        [tx * beam.divergence_half_angle, ty * beam.divergence_half_angle, np.ones(count)],
-        axis=1,
-    )
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    pos = np.stack([x, y, np.zeros(count)], axis=1)
-    return pos, d
+    pos = np.zeros((3, count))
+    pos[0], pos[1] = gx * sigma, gy * sigma
+    d = np.ones((3, count))
+    d[0], d[1] = tx * beam.divergence_half_angle, ty * beam.divergence_half_angle
+    d /= np.sqrt((d[0] * d[0] + d[1] * d[1]) + 1.0)
+    return pos.T, d.T
 
 
 def sample_tthg_cosine(p: TTHGParams, u: np.ndarray) -> np.ndarray:
@@ -174,7 +174,8 @@ def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.n
     Directions with |uz| > 0.99999 are scattered about the z axis itself,
     since the general formula divides by sqrt(1 - uz^2); theta is then measured
     from +z or -z, whichever the photon travels along, so cos_t < 0 reverses
-    it.  The result is renormalized to unit length.
+    it.  The result is renormalized to unit length, and has the memory
+    layout of ``d``.
     """
     nx, ny, nz = _rotate_unnormalized(d, cos_t, phi)
     norm = nx * nx
@@ -207,7 +208,8 @@ def _rotate_unnormalized(d, cos_t, phi):
     nx, ny, nz = most(d, sin_t, cos_t, cos_p, sin_p)
     idx = np.flatnonzero(rest)
     if idx.size:
-        nx[idx], ny[idx], nz[idx] = other(d[idx], sin_t[idx], cos_t[idx], cos_p[idx], sin_p[idx])
+        rows = [np.take(a, idx, axis=0) for a in (d, sin_t, cos_t, cos_p, sin_p)]
+        nx[idx], ny[idx], nz[idx] = other(*rows)
     return nx, ny, nz
 
 
@@ -243,12 +245,19 @@ def _simulate_batch(
     (exit through the far plane, backward or lateral loss, absorption) or
     scatters it, so the photons in flight at event k have scattered exactly
     k times.
+
+    Positions and directions are held component-major, as (3, n) arrays with
+    one contiguous row per component, and photons are gathered by index with
+    ``np.take``.  The lateral test evaluates ``hypot(x, y)`` only where
+    ``|x| + |y|``, its upper bound, comes near ``lateral_bound``.
     """
     ids = np.arange(start, start + count, dtype=np.uint64)
-    pos, d = sample_source(beam, seed, ids)
+    pos, d = (a.T for a in sample_source(beam, seed, ids))
 
     received = [0, 0]  # [unscattered, scattered], indexed by event > 0
     p_absorb = ch.absorption / ch.attenuation
+    # hypot(x, y) <= |x| + |y| always; the margin covers the rounding of both.
+    near_lateral = ch.lateral_bound * (1.0 - 1e-12)
 
     for event in range(_MAX_EVENTS):
         if ids.size == 0:
@@ -258,31 +267,36 @@ def _simulate_batch(
         step = np.log(path)
         step /= -ch.attenuation
 
-        dz = d[:, 2]
-        forward = dz > 0
-        exiting = forward & ((ch.length - pos[:, 2]) / np.where(forward, dz, 1.0) <= step)
-        if exiting.any():
-            pe, de = pos[exiting], d[exiting]
-            t = (ch.length - pe[:, 2]) / de[:, 2]
-            ok = receiver_accepts(pe[:, 0] + t * de[:, 0], pe[:, 1] + t * de[:, 1], de[:, 2], ch)
+        forward = d[2] > 0
+        exiting = forward & ((ch.length - pos[2]) / np.where(forward, d[2], 1.0) <= step)
+        out = np.flatnonzero(exiting)
+        if out.size:
+            pe, de = np.take(pos, out, axis=1), np.take(d, out, axis=1)
+            t = (ch.length - pe[2]) / de[2]
+            ok = receiver_accepts(pe[0] + t * de[0], pe[1] + t * de[1], de[2], ch)
             received[event > 0] += int(np.count_nonzero(ok))
 
-        pos += step[:, None] * d
-        gone = exiting | (pos[:, 2] < 0) | (np.hypot(pos[:, 0], pos[:, 1]) > ch.lateral_bound)
+        pos += step * d
+        gone = exiting | (pos[2] < 0)
+        near = np.flatnonzero(np.abs(pos[0]) + np.abs(pos[1]) > near_lateral)
+        x, y = np.take(pos[:2], near, axis=1)
+        gone[near[np.hypot(x, y) > ch.lateral_bound]] = True
         # Survivors as indices into pos, d and absorb, gathered once after
         # absorption.
         live = np.flatnonzero(~gone)
-        kept = absorb[live] >= p_absorb
-        live = live[kept]
-        ids = ids[live]
+        live = live[np.take(absorb, live) >= p_absorb]
+        ids = np.take(ids, live)
         if ids.size == 0:
             break
-        pos, d = pos[live], d[live]
+        pos, d = np.take(pos, live, axis=1), np.take(d, live, axis=1)
 
         scatter, azimuth = rngstream.uniform(seed, ids, counter + np.uint64(1))
         cos_t = sample_tthg_cosine(ch.phase_fn, scatter)
         azimuth *= 2.0 * np.pi
-        d = rotate_directions(d, cos_t, azimuth)
+        # The (n, 3) view of component-major d is Fortran-ordered, so the
+        # rotation's column reads and writes are contiguous, and its result
+        # keeps that layout.
+        d = rotate_directions(d.T, cos_t, azimuth).T
 
     if ids.size:
         raise RuntimeError(

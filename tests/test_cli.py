@@ -111,6 +111,10 @@ class TestExitCodes:
                 "session": {"channel_mueller": np.diag([1, -1.5, 0.2, 1]).tolist()},
             },
             {"scenario": "bb84-run", "session": {"channel_mueller": (2 * np.eye(4)).tolist()}},
+            dict(MC_DOC, n_photons=0),
+            dict(MC_DOC, n_photons=2.7),
+            dict(MC_DOC, n_workers=0),
+            dict(MC_DOC, n_workers=-3),
         ],
         ids=[
             "jerlov-missing-reference",
@@ -124,6 +128,10 @@ class TestExitCodes:
             "bb84-overpolarizing-mueller",
             "bb84-nonphysical-mueller",
             "bb84-amplifying-mueller",
+            "mc-zero-photons",
+            "mc-fractional-photons",
+            "mc-zero-workers",
+            "mc-negative-workers",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):

@@ -58,6 +58,35 @@ MC_CHANNEL_POOLED_OUT = """\
 }
 """
 
+# The tank at a 45 degree FOV, with the lateral boundary at the default 1 m
+# and at 2 cm.  At 2 cm photons cross it, so the lateral test's hypot runs,
+# and scattered arrivals are lost.  (At the 5 degree FOV the 2 cm boundary
+# changes no count.)
+MC_CHANNEL_WIDE_FOV = dataclasses.replace(
+    MC_CHANNEL,
+    parameters=dict(
+        MC_CHANNEL.parameters,
+        channel=dict(MC_CHANNEL.parameters["channel"], fov_half_angle=0.785398),
+    ),
+)
+MC_CHANNEL_NARROW = dataclasses.replace(
+    MC_CHANNEL_WIDE_FOV,
+    parameters=dict(
+        MC_CHANNEL_WIDE_FOV.parameters,
+        channel=dict(MC_CHANNEL_WIDE_FOV.parameters["channel"], lateral_bound=0.02),
+    ),
+)
+MC_CHANNEL_NARROW_OUT = """\
+{
+  "launched": 20000,
+  "received": 3997,
+  "received_unscattered": 3934,
+  "received_scattered": 63,
+  "ballistic_transmission": 0.1967,
+  "scattered_fraction_of_received": 0.0157618
+}
+"""
+
 BB84_RUN = ExperimentConfig(
     scenario="bb84-run",
     seed=1,
@@ -136,6 +165,14 @@ def test_mc_channel_draw_budget(monkeypatch):
     assert sum(lanes) == 105_986
     assert sum(sizes) == 2 * sum(lanes)
     assert min(sizes) > 0
+
+
+def test_narrow_lateral_bound_is_pinned():
+    narrow = run_scenario(MC_CHANNEL_NARROW)
+    assert narrow == MC_CHANNEL_NARROW_OUT
+    wide = json.loads(run_scenario(MC_CHANNEL_WIDE_FOV))
+    assert wide["launched"] == json.loads(narrow)["launched"]
+    assert wide["received_scattered"] > json.loads(narrow)["received_scattered"]
 
 
 # A calibrated session of 4.2M pulses: its keys at every stage and its stats.

@@ -93,6 +93,51 @@ class TestPairKnownAnswers:
             assert u[1, i] == (float(w2 << 32 | w3) + 1.0) * 2.0**-64
 
 
+class TestWordsToUnit:
+    # ``_words_to_unit`` against the 64-bit integer rounded once by Python's
+    # correctly rounded int -> float conversion.
+    @staticmethod
+    def convert(hi, lo):
+        hi = np.asarray(hi, dtype=np.uint32)
+        lo = np.asarray(lo, dtype=np.uint32)
+        out = np.empty(hi.shape)
+        rngstream._words_to_unit(hi, lo, out)
+        return out
+
+    @staticmethod
+    def reference(hi, lo):
+        return (float(hi << 32 | lo) + 1.0) * 2.0**-64
+
+    @pytest.mark.parametrize(
+        "hi,lo",
+        [
+            (0, 0),
+            (0x80000000, 0x400),  # 2^63 + half an ulp: ties to even, down
+            (0x80000000, 0xC00),  # 2^63 + 1.5 ulp: ties to even, up
+            (0x80000000, 0x401),  # just above the tie
+            (0xFFFFFFFF, 0xFFFFFBFF),  # below the top tie
+            (0x00200000, 0x1),  # 2^53 + 1: the first integer a double rounds
+            (0x00200000, 0x3),  # 2^53 + 3: ties to even, up
+            (0x001FFFFF, 0xFFFFFFFF),  # 2^53 - 1: exact
+            (0x00400000, 0x2),  # 2^54 + 2: a tie at the next binade
+        ],
+    )
+    def test_edge_words(self, hi, lo):
+        assert self.convert([hi], [lo])[0] == self.reference(hi, lo)
+
+    def test_all_ones_give_one(self):
+        assert self.convert([0xFFFFFFFF], [0xFFFFFFFF])[0] == 1.0
+
+    def test_random_words(self):
+        rng = np.random.default_rng(37)
+        hi, lo = rng.integers(0, 2**32, (2, 100_000), dtype=np.uint32)
+        # Half of them with a small hi word, where the +1 and the low bits
+        # both show.
+        hi[::2] >>= np.uint32(rng.integers(8, 32))
+        expected = [self.reference(h, l) for h, l in zip(hi.tolist(), lo.tolist())]
+        np.testing.assert_array_equal(self.convert(hi, lo), expected)
+
+
 class TestPhilox:
     def test_output_shape_and_dtype(self):
         c = np.arange(8, dtype=np.uint32)

@@ -215,6 +215,26 @@ class TestPropagate:
             alone = rotate_directions(d[i : i + 1], cos_t[i : i + 1], phi[i : i + 1])
             np.testing.assert_array_equal(batch[i], alone[0])
 
+    @pytest.mark.parametrize("on_axis_share", [0.1, 0.9])
+    def test_rotation_does_not_depend_on_the_layout(self, on_axis_share):
+        # The transport passes the (n, 3) view of its (3, n) directions, a
+        # Fortran-ordered array; each branch's rows, in the minority and in
+        # the majority, must match a C-ordered copy bit for bit.
+        rng = np.random.default_rng(14)
+        n = 4_000
+        d = unit_directions(n, rng)
+        on_axis = rng.random(n) < on_axis_share
+        tilt = rng.normal(scale=1e-3, size=(on_axis.sum(), 2))
+        d[on_axis] = np.column_stack([tilt, np.sqrt(1.0 - (tilt * tilt).sum(axis=1))])
+        d[on_axis] *= rng.choice([-1.0, 1.0], size=(on_axis.sum(), 1))
+        assert 0 < np.count_nonzero(np.abs(d[:, 2]) > 0.99999) < n
+        cos_t = 2.0 * rng.random(n) - 1.0
+        phi = 2.0 * np.pi * rng.random(n)
+        column_major = np.ascontiguousarray(d.T).T
+        assert column_major.flags.f_contiguous and not column_major.flags.c_contiguous
+        expected = rotate_directions(np.ascontiguousarray(d), cos_t, phi)
+        np.testing.assert_array_equal(rotate_directions(column_major, cos_t, phi), expected)
+
     def test_exit_plane_flag(self):
         # In a near-vacuum channel every photon reaches the exit plane
         # unscattered, inside the aperture and the FOV.
