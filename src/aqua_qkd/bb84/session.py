@@ -148,8 +148,7 @@ def estimate_qber_disclosed(sifted_alice, sifted_bob, fraction: float, rng):
     n_sample = int(np.count_nonzero(sample))
     if n_sample == 0:
         raise ValueError("disclosed sample is empty; increase the fraction")
-    estimate = float(np.mean(a[sample] != b[sample]))
-    return estimate, a[~sample], b[~sample], n_sample
+    return compute_qber(a[sample], b[sample]), a[~sample], b[~sample], n_sample
 
 
 def detect_pulses(cfg: SessionConfig, rng):

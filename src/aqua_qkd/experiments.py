@@ -24,10 +24,17 @@ from .characterization import (
 from .polarization import MuellerMatrix
 from .transport import BeamParams, ChannelParams, TTHGParams, run_transport
 
-SWEEP_CSV_HEADER = (
-    "attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,"
-    "secure_rate_bps,leaked_bits"
+# The sweep's columns in output order, as (JSON key, CSV name).
+SWEEP_COLUMNS = (
+    ("attenuation", "attenuation_per_m"),
+    ("absorption", "absorption_per_m"),
+    ("transmission", "transmission"),
+    ("qber", "qber"),
+    ("sifted_rate", "sifted_rate_bps"),
+    ("secure_rate", "secure_rate_bps"),
+    ("leaked_bits", "leaked_bits"),
 )
+SWEEP_CSV_HEADER = ",".join(name for _, name in SWEEP_COLUMNS)
 
 # Receiver/noise parameters tuned once against the in-air reference run
 # (QBER 1.58%, secure rate 422.96 bits/s at unit transmission).
@@ -81,17 +88,6 @@ class ExperimentConfig:
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if self.output_format == "csv" and self.scenario != "sweep":
             raise ConfigError(f"scenario {self.scenario!r} only supports JSON output")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    attenuation: float
-    absorption: float
-    transmission: float
-    qber: float
-    sifted_rate: float
-    secure_rate: float
-    leaked_bits: int
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -148,6 +144,7 @@ def _session_config(params: dict, seed: int, transmission: float | None = None) 
     with _reading("session parameters"):
         merged = dict(CALIBRATED_SESSION)
         merged.update(params)
+        merged["n_pulses"] = _whole_count(merged, "n_pulses", CALIBRATED_SESSION["n_pulses"])
         mueller = merged.pop("channel_mueller", None)
         if transmission is None:
             if "channel_transmission" in merged:
@@ -222,7 +219,8 @@ def _run_bb84(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+def _run_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """One row per attenuation, keyed by the JSON keys of ``SWEEP_COLUMNS``."""
     p = cfg.parameters
     with _reading("sweep parameters"):
         sweep = p.get("sweep", {})
@@ -242,17 +240,16 @@ def _run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         # trend in T free of independent sampling noise.
         session = _session_config(dict(session_params), cfg.seed, transmission=transmission)
         stats, _ = run_session(session)
-        rows.append(
-            SweepRow(
-                attenuation=attenuation,
-                absorption=attenuation * fraction,
-                transmission=transmission,
-                qber=stats.qber,
-                sifted_rate=stats.sifted_rate,
-                secure_rate=stats.secure_rate,
-                leaked_bits=stats.leaked_bits,
-            )
+        values = (
+            attenuation,
+            attenuation * fraction,
+            transmission,
+            stats.qber,
+            stats.sifted_rate,
+            stats.secure_rate,
+            stats.leaked_bits,
         )
+        rows.append(dict(zip((key for key, _ in SWEEP_COLUMNS), values)))
     return rows
 
 
@@ -285,22 +282,11 @@ def _render_json(payload) -> str:
     return json.dumps(_round_floats(payload), indent=2) + "\n"
 
 
-def _render_sweep_csv(rows: list[SweepRow]) -> str:
+def _render_sweep_csv(rows: list[dict]) -> str:
     lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.attenuation),
-                    _fmt(r.absorption),
-                    _fmt(r.transmission),
-                    _fmt(r.qber),
-                    _fmt(r.sifted_rate),
-                    _fmt(r.secure_rate),
-                    str(r.leaked_bits),
-                ]
-            )
-        )
+    for row in rows:
+        cells = ((str if key == "leaked_bits" else _fmt)(row[key]) for key, _ in SWEEP_COLUMNS)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -311,12 +297,8 @@ def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
     """
     payload = _RUNNERS[cfg.scenario](cfg)
 
-    if cfg.output_format == "csv":
-        text = _render_sweep_csv(payload)
-    else:
-        if cfg.scenario == "sweep":
-            payload = [row.__dict__ for row in payload]
-        text = _render_json(payload)
+    render = _render_sweep_csv if cfg.output_format == "csv" else _render_json
+    text = render(payload)
 
     target = output_path or cfg.output_path
     if target is not None:

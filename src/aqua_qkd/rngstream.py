@@ -24,7 +24,8 @@ _M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
 _W = np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_ROUNDS = 10
+# Round numbers 0..9, shaped to broadcast against (2, n) key words.
+_ROUND = np.arange(10, dtype=np.uint64).reshape(10, 1, 1)
 # Elements per cipher block: the six to eight uint64 lanes of a block (128 kB
 # each) stay in L2 across the ten rounds, and the numpy call overhead of a
 # round stays small beside its work.
@@ -35,9 +36,10 @@ _INV64 = 1.0 / 18446744073709551616.0
 _TWO32 = 4294967296.0
 
 
-def _round_keys(keys: np.ndarray) -> list[np.ndarray]:
-    """The keys of all rounds for key words ``keys`` (rows k0, k1), in uint64."""
-    return [(keys + np.uint64(r) * _W) & _MASK32 for r in range(_ROUNDS)]
+def _round_keys(keys: np.ndarray) -> np.ndarray:
+    """The (10, 2, ...) uint64 keys of all rounds for key words ``keys`` (rows
+    k0, k1; one column, or one per element): round r's are (keys + r * W) mod 2^32."""
+    return (keys + _ROUND * _W) & _MASK32
 
 
 def _rounds(a: np.ndarray, b: np.ndarray, p: np.ndarray, round_keys) -> None:

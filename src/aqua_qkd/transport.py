@@ -121,9 +121,8 @@ def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndar
     normal with sigma = waist_radius / 2 per axis; the direction is tilted by
     per-axis normal angles with sigma equal to the divergence half-angle, then
     renormalized by ``sqrt((dx*dx + dy*dy) + 1)``, summed in the order
-    ``np.linalg.norm`` sums.  Returns (positions, directions), each of shape
-    (n, 3) and Fortran-ordered: the transposes of (3, n) arrays built one
-    contiguous row per component, which is the layout the kernel works in.
+    ``np.linalg.norm`` sums.  Returns (positions, directions), each a (3, n)
+    array with one contiguous row per component.
     """
     count = len(ids)
     gx, gy = rngstream.normal_pair(seed, ids, np.uint64(0))
@@ -134,7 +133,7 @@ def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndar
     d = np.ones((3, count))
     d[0], d[1] = tx * beam.divergence_half_angle, ty * beam.divergence_half_angle
     d /= np.sqrt((d[0] * d[0] + d[1] * d[1]) + 1.0)
-    return pos.T, d.T
+    return pos, d
 
 
 def sample_tthg_cosine(p: TTHGParams, u: np.ndarray) -> np.ndarray:
@@ -143,39 +142,37 @@ def sample_tthg_cosine(p: TTHGParams, u: np.ndarray) -> np.ndarray:
     ``u <= alpha`` picks lobe g1, and ``u`` is rescaled into that lobe, to
     ``u / alpha`` or ``(u - alpha) / (1 - alpha)``, both uniform on (0, 1],
     before it inverts the lobe's CDF: exactly the mixture's law, from one draw.
+    Each lobe sees only the uniforms that chose it, and a lobe that none chose
+    is skipped, so alpha = 0 or 1 never divides by zero.
     """
-    if p.alpha == 1.0:
-        return _hg_cosine(p.g1, u)
-    if p.alpha == 0.0:
-        return _hg_cosine(p.g2, u)
+    cos_t = np.empty_like(u)
     first = u <= p.alpha
-    g = np.where(first, p.g1, p.g2)
-    v = u / p.alpha
-    second = np.flatnonzero(~first)
-    v[second] = (u[second] - p.alpha) / (1.0 - p.alpha)
-    return _hg_cosine(g, v)
+    lobes = ((first, p.g1, 0.0, p.alpha), (~first, p.g2, p.alpha, 1.0 - p.alpha))
+    for chosen, g, low, width in lobes:
+        idx = np.flatnonzero(chosen)
+        if idx.size:
+            cos_t[idx] = _hg_cosine(g, (np.take(u, idx) - low) / width)
+    return cos_t
 
 
-def _hg_cosine(g, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of the Henyey-Greenstein lobe(s) ``g`` at uniforms ``u``."""
-    near_iso = np.abs(g) < 1e-6
+def _hg_cosine(g: float, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of the Henyey-Greenstein lobe ``g`` at uniforms ``u`` in (0, 1].
+
+    A lobe within 1e-6 of isotropic is taken as isotropic, ``2u - 1``.
+    """
+    if abs(g) < 1e-6:
+        return 2.0 * u - 1.0
     frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * u)
-    cos_t = np.where(
-        near_iso,
-        2.0 * u - 1.0,
-        (1.0 + g * g - frac * frac) / np.where(near_iso, 1.0, 2.0 * g),
-    )
-    return np.clip(cos_t, -1.0, 1.0)
+    return np.clip((1.0 + g * g - frac * frac) / (2.0 * g), -1.0, 1.0)
 
 
 def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Scatter unit directions ``d`` (n, 3) by polar cosine ``cos_t`` and azimuth ``phi``.
+    """Scatter unit directions ``d`` (3, n) by polar cosine ``cos_t`` and azimuth ``phi``.
 
     Directions with |uz| > 0.99999 are scattered about the z axis itself,
     since the general formula divides by sqrt(1 - uz^2); theta is then measured
     from +z or -z, whichever the photon travels along, so cos_t < 0 reverses
-    it.  The result is renormalized to unit length, and has the memory
-    layout of ``d``.
+    it.  Returns a new (3, n) array, renormalized to unit length.
     """
     nx, ny, nz = _rotate_unnormalized(d, cos_t, phi)
     norm = nx * nx
@@ -184,7 +181,7 @@ def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.n
     np.sqrt(norm, out=norm)
     new = np.empty_like(d)
     for j, component in enumerate((nx, ny, nz)):
-        np.divide(component, norm, out=new[:, j])
+        np.divide(component, norm, out=new[j])
     return new
 
 
@@ -200,7 +197,7 @@ def _rotate_unnormalized(d, cos_t, phi):
     """
     sin_t = np.sqrt(1.0 - cos_t * cos_t)
     cos_p, sin_p = np.cos(phi), np.sin(phi)
-    straight = np.abs(d[:, 2]) > 0.99999
+    straight = np.abs(d[2]) > 0.99999
     if 2 * np.count_nonzero(straight) > straight.size:
         most, other, rest = _about_z_axis, _off_axis, ~straight
     else:
@@ -208,19 +205,19 @@ def _rotate_unnormalized(d, cos_t, phi):
     nx, ny, nz = most(d, sin_t, cos_t, cos_p, sin_p)
     idx = np.flatnonzero(rest)
     if idx.size:
-        rows = [np.take(a, idx, axis=0) for a in (d, sin_t, cos_t, cos_p, sin_p)]
+        rows = [np.take(a, idx, axis=-1) for a in (d, sin_t, cos_t, cos_p, sin_p)]
         nx[idx], ny[idx], nz[idx] = other(*rows)
     return nx, ny, nz
 
 
 def _about_z_axis(d, sin_t, cos_t, cos_p, sin_p):
     """Unnormalized new directions of photons travelling along +z or -z."""
-    return sin_t * cos_p, sin_t * sin_p, np.copysign(1.0, d[:, 2]) * cos_t
+    return sin_t * cos_p, sin_t * sin_p, np.copysign(1.0, d[2]) * cos_t
 
 
 def _off_axis(d, sin_t, cos_t, cos_p, sin_p):
     """Unnormalized new directions by the general formula (|uz| <= 0.99999)."""
-    ux, uy, uz = d[:, 0], d[:, 1], d[:, 2]
+    ux, uy, uz = d
     den = np.sqrt(np.maximum(1.0 - uz * uz, 1e-30))
     return (
         sin_t * (ux * uz * cos_p - uy * sin_p) / den + ux * cos_t,
@@ -252,7 +249,7 @@ def _simulate_batch(
     ``|x| + |y|``, its upper bound, comes near ``lateral_bound``.
     """
     ids = np.arange(start, start + count, dtype=np.uint64)
-    pos, d = (a.T for a in sample_source(beam, seed, ids))
+    pos, d = sample_source(beam, seed, ids)
 
     received = [0, 0]  # [unscattered, scattered], indexed by event > 0
     p_absorb = ch.absorption / ch.attenuation
@@ -260,8 +257,6 @@ def _simulate_batch(
     near_lateral = ch.lateral_bound * (1.0 - 1e-12)
 
     for event in range(_MAX_EVENTS):
-        if ids.size == 0:
-            break
         counter = np.uint64(_SOURCE_COUNTERS + 2 * event)
         path, absorb = rngstream.uniform(seed, ids, counter)
         step = np.log(path)
@@ -293,10 +288,7 @@ def _simulate_batch(
         scatter, azimuth = rngstream.uniform(seed, ids, counter + np.uint64(1))
         cos_t = sample_tthg_cosine(ch.phase_fn, scatter)
         azimuth *= 2.0 * np.pi
-        # The (n, 3) view of component-major d is Fortran-ordered, so the
-        # rotation's column reads and writes are contiguous, and its result
-        # keeps that layout.
-        d = rotate_directions(d.T, cos_t, azimuth).T
+        d = rotate_directions(d, cos_t, azimuth)
 
     if ids.size:
         raise RuntimeError(

@@ -115,6 +115,11 @@ class TestExitCodes:
             dict(MC_DOC, n_photons=2.7),
             dict(MC_DOC, n_workers=0),
             dict(MC_DOC, n_workers=-3),
+            *(
+                {"scenario": scenario, **doc, "session": {"n_pulses": n_pulses}}
+                for scenario, doc in (("bb84-run", {}), ("sweep", SWEEP_DOC))
+                for n_pulses in (1_000_000.7, 2.7, "100")
+            ),
         ],
         ids=[
             "jerlov-missing-reference",
@@ -132,6 +137,12 @@ class TestExitCodes:
             "mc-fractional-photons",
             "mc-zero-workers",
             "mc-negative-workers",
+            "bb84-fractional-pulses",
+            "bb84-few-fractional-pulses",
+            "bb84-string-pulses",
+            "sweep-fractional-pulses",
+            "sweep-few-fractional-pulses",
+            "sweep-string-pulses",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):
@@ -191,6 +202,14 @@ class TestOutputs:
         first = lines[1].split(",")
         assert float(first[0]) == 0.05
         assert float(first[2]) == pytest.approx(math.exp(-0.05 * 2.37), rel=1e-4)
+
+    def test_whole_float_pulse_count_runs_as_its_int(self, tmp_path):
+        as_int = write_config(tmp_path, "a.json", SWEEP_DOC)
+        as_float = write_config(tmp_path, "b.json", dict(SWEEP_DOC, session={"n_pulses": 400_000.0}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", as_int, "--out", str(out1)]) == EXIT_OK
+        assert main(["sweep", "--config", as_float, "--out", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_sweep_rerun_is_byte_identical(self, tmp_path):
         path = write_config(tmp_path, "c.json", SWEEP_DOC)

@@ -153,9 +153,35 @@ class TestSampling:
             expected = np.clip((1.0 + g * g - frac * frac) / (2.0 * g), -1.0, 1.0)
         np.testing.assert_allclose(cosines, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            TTHGParams(),
+            TTHGParams(alpha=0.6, g1=0.9, g2=-0.5),
+            TTHGParams(g1=5e-7),
+            TTHGParams(alpha=1.0, g1=0.65, g2=0.9),
+            TTHGParams(alpha=0.0, g1=0.9, g2=-0.3),
+        ],
+        ids=["default", "even", "near-isotropic", "alpha-1", "alpha-0"],
+    )
+    def test_cosines_match_the_mixture_formula_bitwise(self, p):
+        # The sampler against the mixture written out on the whole array:
+        # each uniform's lobe by np.where, rescaled into that lobe, inverted
+        # (2u - 1 for a lobe within 1e-6 of isotropic) and clipped.
+        u = np.concatenate([1.0 - uniforms(7, 50_000), [2.0**-64, p.alpha, 1.0]])
+        u = u[u > 0.0]  # uniforms lie in (0, 1]
+        first = u <= p.alpha
+        g = np.where(first, p.g1, p.g2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(first, u / p.alpha, (u - p.alpha) / (1.0 - p.alpha))
+            frac = (1.0 - g * g) / (1.0 + g - 2.0 * g * v)
+            general = (1.0 + g * g - frac * frac) / (2.0 * g)
+        expected = np.clip(np.where(np.abs(g) < 1e-6, 2.0 * v - 1.0, general), -1.0, 1.0)
+        np.testing.assert_array_equal(sample_tthg_cosine(p, u), expected)
+
     def test_source_statistics(self):
         beam = BeamParams(waist_radius=2.5e-3, divergence_half_angle=1e-3)
-        pos, d = sample_source(beam, 5, np.arange(20_000, dtype=np.uint64))
+        pos, d = (a.T for a in sample_source(beam, 5, np.arange(20_000, dtype=np.uint64)))
         assert pos.shape == d.shape == (20_000, 3)
         assert pos[:, 0].std() == pytest.approx(beam.waist_radius / 2, rel=0.05)
         assert np.all(pos[:, 2] == 0.0)
@@ -163,6 +189,12 @@ class TestSampling:
         tilt = np.arccos(d[:, 2])
         # Two independent normal tilt axes: mean polar tilt = sigma * sqrt(pi/2).
         assert tilt.mean() == pytest.approx(1e-3 * math.sqrt(math.pi / 2), rel=0.05)
+
+    def test_source_is_component_major(self):
+        # One contiguous row per component: the layout the kernel works in.
+        for a in sample_source(BeamParams(), 5, np.arange(1_000, dtype=np.uint64)):
+            assert a.shape == (3, 1_000)
+            assert a.flags.c_contiguous
 
 
 class TestPropagate:
@@ -172,7 +204,7 @@ class TestPropagate:
         d = unit_directions(2_000, rng)
         for _ in range(200):
             cos_t = sample_tthg_cosine(p, rng.random(len(d)))
-            d = rotate_directions(d, cos_t, 2.0 * np.pi * rng.random(len(d)))
+            d = rotate_directions(d.T, cos_t, 2.0 * np.pi * rng.random(len(d))).T
             assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) < 1e-9
 
     def test_rotation_keeps_the_scattering_angle(self):
@@ -180,7 +212,7 @@ class TestPropagate:
         rng = np.random.default_rng(8)
         d = unit_directions(5_000, rng)
         cos_t = 2.0 * rng.random(len(d)) - 1.0
-        new = rotate_directions(d, cos_t, 2.0 * np.pi * rng.random(len(d)))
+        new = rotate_directions(d.T, cos_t, 2.0 * np.pi * rng.random(len(d))).T
         np.testing.assert_allclose(np.sum(d * new, axis=1), cos_t, atol=1e-9)
 
     @pytest.mark.parametrize("uz", [1.0, 1.0 - 5e-6, -1.0, -(1.0 - 5e-6)])
@@ -191,7 +223,7 @@ class TestPropagate:
         d = np.tile([ux, 0.0, uz], (4, 1))
         cos_t = np.array([1.0, 0.5, 0.0, -0.8])
         phi = np.array([0.0, 1.0, 2.0, 3.0])
-        new = rotate_directions(d, cos_t, phi)
+        new = rotate_directions(d.T, cos_t, phi).T
         np.testing.assert_allclose(np.linalg.norm(new, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(new[:, 2], math.copysign(1.0, uz) * cos_t, atol=1e-12)
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
@@ -210,16 +242,16 @@ class TestPropagate:
         d = d[rng.permutation(len(d))]
         cos_t = 2.0 * rng.random(len(d)) - 1.0
         phi = 2.0 * np.pi * rng.random(len(d))
-        batch = rotate_directions(d, cos_t, phi)
+        batch = rotate_directions(d.T, cos_t, phi).T
         for i in range(len(d)):
-            alone = rotate_directions(d[i : i + 1], cos_t[i : i + 1], phi[i : i + 1])
+            alone = rotate_directions(d[i : i + 1].T, cos_t[i : i + 1], phi[i : i + 1]).T
             np.testing.assert_array_equal(batch[i], alone[0])
 
     @pytest.mark.parametrize("on_axis_share", [0.1, 0.9])
     def test_rotation_does_not_depend_on_the_layout(self, on_axis_share):
-        # The transport passes the (n, 3) view of its (3, n) directions, a
-        # Fortran-ordered array; each branch's rows, in the minority and in
-        # the majority, must match a C-ordered copy bit for bit.
+        # The transport passes C-ordered (3, n) directions; each branch's
+        # rows, in the minority and in the majority, must match a
+        # Fortran-ordered copy bit for bit.
         rng = np.random.default_rng(14)
         n = 4_000
         d = unit_directions(n, rng)
@@ -230,10 +262,11 @@ class TestPropagate:
         assert 0 < np.count_nonzero(np.abs(d[:, 2]) > 0.99999) < n
         cos_t = 2.0 * rng.random(n) - 1.0
         phi = 2.0 * np.pi * rng.random(n)
-        column_major = np.ascontiguousarray(d.T).T
-        assert column_major.flags.f_contiguous and not column_major.flags.c_contiguous
-        expected = rotate_directions(np.ascontiguousarray(d), cos_t, phi)
-        np.testing.assert_array_equal(rotate_directions(column_major, cos_t, phi), expected)
+        d = np.ascontiguousarray(d.T)
+        fortran = np.asfortranarray(d)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        expected = rotate_directions(d, cos_t, phi)
+        np.testing.assert_array_equal(rotate_directions(fortran, cos_t, phi), expected)
 
     def test_exit_plane_flag(self):
         # In a near-vacuum channel every photon reaches the exit plane
