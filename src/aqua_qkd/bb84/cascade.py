@@ -17,19 +17,25 @@ adds the permutation drawn from that seed, and each VERIFICATION frame
 (``>Q`` seed, ``>I`` count) adds its ``count`` random subsets, in order.
 Subset ``j`` holds the key positions whose uint64 drawn from the seed has
 bit ``j`` set.  A PARITY_REQUEST frame is a run of (sequence, start, end)
-records of three ``>u4`` each; Alice answers each ``[start, end)`` range of a
-sequence in O(1) from a prefix-parity array of her key in that order.  A
-VERIFICATION frame asks for the parities of its subsets.  Alice answers
-every request with one PARITY_RESPONSE of packed bits (``np.packbits``),
-sent with ``disclosed_bits`` equal to their count, and Bob's oracle charges
-the same count; an empty VERIFICATION frame ends the dialogue.  Seeds carry
-no key information and are not counted.
+records of three ``>u4`` each; Alice answers every ``[start, end)`` range of
+a frame with one pair of lookups into the prefix parities of her key over
+every sequence, laid end to end.  A VERIFICATION frame asks for the
+parities of its subsets.  Alice answers every request with one
+PARITY_RESPONSE of packed bits (``np.packbits``), sent with
+``disclosed_bits`` equal to their count, and Bob's oracle charges the same
+count; an empty VERIFICATION frame ends the dialogue.  Seeds carry no key
+information and are not counted.
+
+When both sides run in one process, a permutation or a set of subset words
+is expanded from its seed once: Bob publishes what he expands for as long as
+his dialogue runs, and Alice takes it from there.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -81,24 +87,68 @@ def _subset_parities(key: np.ndarray, words: np.ndarray, count: int) -> np.ndarr
     return ((acc >> np.arange(count, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
+# What the dialogues Bob is running in this process have expanded, by
+# (expander, seed, key length).  Each dialogue removes its own entries when
+# it ends, also when it raises, so nothing keyed by a seed outlives it.  Two
+# running dialogues that expand the same key share an entry until the first
+# ends; an Alice that then finds none expands her own copy of the same array.
+_EXPANDED: dict = {}
+
+
+def _expanded(expander, seed: int, n: int) -> np.ndarray:
+    """``expander(seed, n)``, taken from a running dialogue that already expanded it."""
+    out = _EXPANDED.get((expander, seed, n))
+    return expander(seed, n) if out is None else out
+
+
+@contextmanager
+def _expanding(n: int):
+    """Bob's expander for one dialogue over an ``n``-bit key, publishing what it expands."""
+    keys = []
+
+    def expand(expander, seed: int) -> np.ndarray:
+        key = (expander, seed, n)
+        out = _EXPANDED[key] = expander(seed, n)
+        keys.append(key)
+        return out
+
+    try:
+        yield expand
+    finally:
+        for key in keys:
+            _EXPANDED.pop(key, None)
+
+
 class _Alice:
     """Alice's side of the dialogue: her key's prefix parities over every sequence.
 
-    A verification subset is kept as its (seed, index) until a range over it
-    is first requested, which happens only when its parity mismatched.
+    The prefix parities of the expanded sequences lie end to end in one
+    array, sequence s's from ``_offset[s]`` on, over its ``_length[s]`` key
+    positions.  A verification subset is kept as its (seed, index), with
+    length -1, until a range over it is first requested, which happens only
+    when its parity mismatched.
     """
 
     def __init__(self, key: np.ndarray):
         self._key = key
-        self._seqs: list = [_prefix_parity(key)]
+        self._joined = np.zeros(0, dtype=np.uint8)
+        self._offset = np.zeros(0, dtype=np.int64)
+        self._length = np.zeros(0, dtype=np.int64)
+        self._subsets: dict[int, tuple[int, int]] = {}
+        self._lay(self._add(1), key)
 
-    def _prefix(self, s: int) -> np.ndarray:
-        entry = self._seqs[s]
-        if isinstance(entry, tuple):
-            seed, j = entry
-            subset = _subset(_subset_words(seed, len(self._key)), j)
-            entry = self._seqs[s] = _prefix_parity(self._key[subset])
-        return entry
+    def _add(self, count: int) -> int:
+        """Number ``count`` new sequences, not laid out yet; returns the first one's id."""
+        first = len(self._length)
+        self._offset = np.append(self._offset, np.zeros(count, dtype=np.int64))
+        self._length = np.append(self._length, np.full(count, -1, dtype=np.int64))
+        return first
+
+    def _lay(self, s: int, bits: np.ndarray):
+        """Lay the prefix parities of ``bits``, sequence ``s``'s key bits, after the others."""
+        self._offset[s] = len(self._joined)
+        self._length[s] = len(bits)
+        self._joined = np.concatenate((self._joined, _prefix_parity(bits)))
 
     def _range_parities(self, payload: bytes) -> np.ndarray:
         if not payload or len(payload) % (3 * _RECORD.itemsize):
@@ -106,25 +156,26 @@ class _Alice:
                 f"parity request of {len(payload)} bytes is not a whole number of records"
             )
         seq, start, end = np.frombuffer(payload, dtype=_RECORD).reshape(-1, 3).astype(np.int64).T
-        if seq.max() >= len(self._seqs):
+        if seq.max() >= len(self._length):
             raise ProtocolError(f"unknown sequence {seq.max()}")
-        out = np.empty(len(seq), dtype=np.uint8)
-        for s in np.flatnonzero(np.bincount(seq)):
-            prefix = self._prefix(s)
-            sel = seq == s
-            lo, hi = start[sel], end[sel]
-            if np.any(lo >= hi) or np.any(hi >= len(prefix)):
-                raise ProtocolError(f"empty range, or range outside [0, {len(prefix) - 1}]")
-            out[sel] = prefix[hi] ^ prefix[lo]
-        return out
+        # Verification subsets searched for the first time.
+        for s in np.flatnonzero(np.bincount(seq[self._length[seq] < 0])):
+            seed, j = self._subsets.pop(int(s))
+            subset = _subset(_expanded(_subset_words, seed, len(self._key)), j)
+            self._lay(s, self._key[subset])
+        if np.any(start >= end) or np.any(end > self._length[seq]):
+            raise ProtocolError("empty range, or range past the end of its sequence")
+        offset = self._offset[seq]
+        return self._joined[offset + end] ^ self._joined[offset + start]
 
     def answer(self, msg_type: int, payload: bytes, channel) -> bool:
         """Answer one frame from Bob; False once the closing frame arrives."""
+        n = len(self._key)
         if msg_type == MSG_PERMUTATION_SEED:
             if len(payload) != _SEED.size:
                 raise ProtocolError(f"permutation seed of {len(payload)} bytes")
             (seed,) = _SEED.unpack(payload)
-            self._seqs.append(_prefix_parity(self._key[_permutation(seed, len(self._key))]))
+            self._lay(self._add(1), self._key[_expanded(_permutation, seed, n)])
             return True
         if msg_type == MSG_PARITY_REQUEST:
             bits = self._range_parities(payload)
@@ -136,8 +187,9 @@ class _Alice:
             seed, count = _VERIFY.unpack(payload)
             if not 0 < count <= MAX_SUBSETS:
                 raise ProtocolError(f"verification count {count} outside [1, {MAX_SUBSETS}]")
-            bits = _subset_parities(self._key, _subset_words(seed, len(self._key)), count)
-            self._seqs.extend((seed, j) for j in range(count))
+            bits = _subset_parities(self._key, _expanded(_subset_words, seed, n), count)
+            first = self._add(count)
+            self._subsets.update((first + j, (seed, j)) for j in range(count))
         else:
             raise ProtocolError(f"unexpected message type {msg_type:#x}")
         channel.send(MSG_PARITY_RESPONSE, np.packbits(bits).tobytes(), disclosed_bits=len(bits))
@@ -214,16 +266,25 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
     """Key positions of one error in each range, every search one level per frame.
 
     Range i is ``[start[i], end[i])`` of sequence ``seq[i]``, over which Bob's
-    parity differs from Alice's.  The prefix parities of Bob's key over the
-    sequences in use are laid end to end, so one array answers every range.
+    parity differs from Alice's.  The key positions of the ranges are laid
+    end to end, range i's from ``base[i]`` on, so the prefix parities of
+    Bob's key over them answer every range.
     """
-    used = np.flatnonzero(np.bincount(seq))
-    prefixes = [_prefix_parity(bob[seqs[s]]) for s in used]
-    lengths = np.zeros(len(seqs), dtype=np.int64)
-    lengths[used] = [len(prefix) for prefix in prefixes]
-    offsets = (np.cumsum(lengths) - lengths)[seq]
-    prefix = np.concatenate(prefixes)
-    lo, hi = start + offsets, end + offsets
+    length = end - start
+    where = np.empty(int(length.sum()), dtype=np.int64)
+    base = np.empty_like(start)
+    at = 0
+    for s in np.flatnonzero(np.bincount(seq)):
+        sel = np.flatnonzero(seq == s)
+        size = int(length[sel].sum())
+        base[sel] = at + np.cumsum(length[sel]) - length[sel]
+        # Entry g of range i is entry start[i] + g - base[i] of the sequence.
+        shift = np.repeat(start[sel] - base[sel], length[sel])
+        where[at : at + size] = seqs[s][np.arange(at, at + size) + shift]
+        at += size
+    prefix = _prefix_parity(bob[where])
+    offsets = base - start
+    lo, hi = base, base + length
     while (act := np.flatnonzero(hi - lo > 1)).size:
         a, b = lo[act], hi[act]
         mid = (a + b) // 2
@@ -231,11 +292,8 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
         left = oracle.parities(seq[act], a - off, mid - off) != prefix[mid] ^ prefix[a]
         hi[act] = np.where(left, mid, b)
         lo[act] = np.where(left, a, mid)
-    lo -= offsets
-    found = np.zeros(len(bob), dtype=bool)
-    for s in used:
-        found[seqs[s][lo[seq == s]]] = True
-    return np.flatnonzero(found)
+    found = np.sort(where[lo])  # without repeats: ranges of two passes can share an error
+    return found[np.diff(found, prepend=-1) != 0]
 
 
 def reconcile_with_oracle(
@@ -259,14 +317,20 @@ def reconcile_with_oracle(
     if not 0.0 < qber_estimate < 0.5:
         raise ProtocolError(f"qber_estimate must lie in (0, 0.5), got {qber_estimate}")
 
+    with _expanding(n) as expand:
+        return _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand)
+
+
+def _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand) -> np.ndarray:
+    n = len(bob)
     k1 = math.ceil(FIRST_PASS_COEFF / qber_estimate)
     sizes = [min(n, k1 * (2**p)) for p in range(PASSES)]
     seeds = [int(rng.integers(0, 2**63)) for _ in range(1, PASSES)]
-    for seed in seeds:
-        oracle.announce_permutation(seed)
     # Key positions of each sequence, by id: pass p is sequence p, and a
     # verification subset is filled in only when it is searched.
-    seqs: list = [np.arange(n)] + [_permutation(seed, n) for seed in seeds]
+    seqs: list = [np.arange(n)] + [expand(_permutation, seed) for seed in seeds]
+    for seed in seeds:
+        oracle.announce_permutation(seed)
     block_of: list[np.ndarray] = []  # per pass begun: the block of each key position
     bob_par: list[np.ndarray] = []  # per pass begun: Bob's block parities, kept current
 
@@ -315,7 +379,7 @@ def reconcile_with_oracle(
             )
         count = min(verify_parities - consecutive, 8 * verify_parities - checks, MAX_SUBSETS)
         seed = int(rng.integers(0, 2**63))
-        words = _subset_words(seed, n)
+        words = expand(_subset_words, seed)
         bad = np.flatnonzero(oracle.verify(seed, count) != _subset_parities(bob, words, count))
         checks += count
         first = len(seqs)

@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         if self.output_format == "csv" and self.scenario != "sweep":
             raise ConfigError(f"scenario {self.scenario!r} only supports JSON output")
+        with _reading("config"):
+            object.__setattr__(self, "seed", _whole(self.seed, "seed", 0, 2**64))
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -170,14 +172,19 @@ def _session_config(params: dict, seed: int, transmission: float | None = None) 
         )
 
 
-def _whole_count(params: dict, key: str, default: int) -> int:
-    """``params[key]`` (or ``default``) as an int; it must be a whole number >= 1."""
-    value = params.get(key, default)
+def _whole(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; it must be a whole number in [low, high)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} must be a whole number >= 1, got {value!r}")
+    if type(value) is not int or value < low or (high is not None and value >= high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be a whole number {bound}, got {value!r}")
     return value
+
+
+def _whole_count(params: dict, key: str, default: int) -> int:
+    """``params[key]`` (or ``default``) as an int; it must be a whole number >= 1."""
+    return _whole(params.get(key, default), key, 1)
 
 
 def _run_mc_channel(cfg: ExperimentConfig) -> dict:

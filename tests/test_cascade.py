@@ -1,11 +1,15 @@
+import gc
 import math
 import socket
 import struct
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aqua_qkd.bb84 import cascade
 from aqua_qkd.bb84.cascade import (
     ProtocolError,
     _InlineAlice,
@@ -139,6 +143,16 @@ class TestCascadeReconcile:
         assert np.array_equal(reconciled, alice)
         assert chan.frames <= 128
 
+    def test_no_expansion_outlives_its_dialogue(self):
+        # Three permutations of a 62k-bit key are 1.5 MB; none may stay cached.
+        alice, bob = bsc_pair(np.random.default_rng(15), 62_000, 0.02)
+
+        def dialogue(seed):
+            reconciled, _ = cascade_reconcile(alice, bob, 0.02, None, np.random.default_rng(seed))
+            assert np.array_equal(reconciled, alice)
+
+        assert retained_bytes(dialogue) < 64_000
+
     def test_length_mismatch(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ProtocolError):
@@ -178,6 +192,52 @@ class TestRemoteOracle:
         assert not server.is_alive()
         assert np.array_equal(reconciled, alice)
         assert oracle.bits_disclosed > 0
+
+    def test_concurrent_dialogues_in_one_process(self):
+        # Four framed dialogues at once on eight threads, two by two with the
+        # same keys and seeds, so that they publish and drop the same
+        # expansions; a short switch interval interleaves them finely.  Each
+        # must still reconcile and be charged as it is alone, and nothing
+        # may stay published.
+        n, p = 4096, 0.03
+        keys = [bsc_pair(np.random.default_rng(i), n, p) for i in range(2)]
+        alone = [
+            cascade_reconcile(*keys[i], p, None, np.random.default_rng(i))[1] for i in range(2)
+        ]
+        results = {}
+
+        def bob_side(i, sock):
+            oracle = RemoteOracle(FramedStreamChannel(sock))
+            rng = np.random.default_rng(i % 2)
+            reconciled = reconcile_with_oracle(keys[i % 2][1], p, oracle, rng)
+            oracle.close()
+            results[i] = reconciled, oracle.bits_disclosed
+
+        socks = [socket.socketpair() for _ in range(4)]
+        threads = [
+            threading.Thread(
+                target=serve_parity_queries, args=(keys[i % 2][0], FramedStreamChannel(a))
+            )
+            for i, (a, _) in enumerate(socks)
+        ] + [threading.Thread(target=bob_side, args=(i, b)) for i, (_, b) in enumerate(socks)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            for pair in socks:
+                for sock in pair:
+                    sock.close()
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(4):
+            reconciled, leaked = results[i]
+            assert np.array_equal(reconciled, keys[i % 2][0])
+            assert leaked == alone[i % 2]
+        assert cascade._EXPANDED == {}
 
     @pytest.mark.parametrize(
         "n, p",
@@ -226,12 +286,91 @@ def records(*rows) -> bytes:
     return np.array(rows, dtype=">u4").tobytes()
 
 
+# A PERMUTATION_SEED frame: sequence 1 is then a permutation of the key.
+PERMUTED = ((MSG_PERMUTATION_SEED, struct.pack(">Q", 5)),)
+
+
+def subsets(seed: int, n: int, count: int) -> list[np.ndarray]:
+    """Key positions of the first ``count`` verification subsets drawn from ``seed``."""
+    words = np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
+    return [np.flatnonzero((words >> np.uint64(j)) & np.uint64(1)) for j in range(count)]
+
+
+def retained_bytes(dialogue) -> int:
+    """Bytes still allocated once ``dialogue(seed)`` has returned, its result dropped.
+
+    A first dialogue at another seed makes the one-time allocations, so what
+    is left is what the measured dialogue kept: anything cached by seed.
+    """
+    dialogue(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dialogue(2)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestProtocolErrors:
     def test_verification_cap_raises(self):
         rng = np.random.default_rng(11)
         alice, bob = bsc_pair(rng, 1024, 0.02)
         with pytest.raises(ProtocolError, match="verification .* in 64 checks"):
             reconcile_with_oracle(bob, 0.02, LyingVerifier(alice), rng, verify_parities=8)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [0, 1, 2],
+        ids=["past-end-of-the-key", "past-end-of-an-expanded-subset", "past-end-of-a-new-subset"],
+    )
+    def test_alice_checks_ranges_over_subsets(self, seq):
+        # Over a 64-bit key, VERIFICATION(seed 7, 2 subsets) adds sequences 1
+        # and 2.  A range over subset 1 expands it, and a range one past a
+        # sequence's end raises whether or not the subset was expanded before.
+        key = np.random.default_rng(0).integers(0, 2, 64, dtype=np.uint8)
+        sub = subsets(7, 64, 2)
+        length = [len(key), len(sub[0]), len(sub[1])][seq]
+        pair = InProcessChannelPair()
+        pair.bob.send(MSG_VERIFICATION, struct.pack(">QI", 7, 2))
+        pair.bob.send(MSG_PARITY_REQUEST, records((1, 0, len(sub[0]))))
+        pair.bob.send(MSG_PARITY_REQUEST, records((seq, 0, length + 1)))
+        with pytest.raises(ProtocolError, match="past the end"):
+            serve_parity_queries(key, pair.alice)
+        pair.bob.recv()
+        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, bytes([key[sub[0]].sum() % 2 << 7]))
+        with pytest.raises(RuntimeError, match="no pending message"):
+            pair.bob.recv()
+
+    def test_alice_answers_ranges_over_unexpanded_subsets(self):
+        key = np.random.default_rng(0).integers(0, 2, 64, dtype=np.uint8)
+        sub = subsets(7, 64, 2)
+        ranges = [(2, 0, len(sub[1])), (1, 1, len(sub[0])), (0, 3, 50), (2, 2, 5)]
+        pair = InProcessChannelPair()
+        pair.bob.send(MSG_VERIFICATION, struct.pack(">QI", 7, 2))
+        pair.bob.send(MSG_PARITY_REQUEST, records(*ranges))
+        pair.bob.send(MSG_VERIFICATION, b"")
+        serve_parity_queries(key, pair.alice)
+        order = [np.arange(64), *sub]
+        expected = [key[order[s][a:b]].sum() % 2 for s, a, b in ranges]
+        assert pair.bob.recv() == (
+            MSG_PARITY_RESPONSE,
+            np.packbits([key[p].sum() % 2 for p in sub]).tobytes(),
+        )
+        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, np.packbits(expected).tobytes())
+
+    def test_no_expansion_outlives_a_dialogue_that_raises(self):
+        alice, bob = bsc_pair(np.random.default_rng(16), 62_000, 0.02)
+
+        def dialogue(seed):
+            with pytest.raises(ProtocolError, match="verification"):
+                reconcile_with_oracle(
+                    bob, 0.02, LyingVerifier(alice), np.random.default_rng(seed), verify_parities=8
+                )
+
+        assert retained_bytes(dialogue) < 64_000
 
     def test_alice_rejects_unexpected_frame(self):
         pair = InProcessChannelPair()
@@ -243,18 +382,21 @@ class TestProtocolErrors:
         assert pair.bob.recv() == (MSG_PARITY_RESPONSE, bytes([0]))
 
     @pytest.mark.parametrize(
-        "msg_type, payload",
+        "leading, msg_type, payload",
         [
-            (MSG_PARITY_REQUEST, records((0, 0, 2), (1, 0, 2))),
-            (MSG_PARITY_REQUEST, records((0, 4, 9))),
-            (MSG_PARITY_REQUEST, records((0, 3, 3))),
-            (MSG_PARITY_REQUEST, records((0, 5, 2))),
-            (MSG_PARITY_REQUEST, records((0, 0, 2))[:-1]),
-            (MSG_PARITY_REQUEST, b""),
-            (MSG_PERMUTATION_SEED, bytes(7)),
-            (MSG_VERIFICATION, struct.pack(">QI", 7, 0)),
-            (MSG_VERIFICATION, struct.pack(">QI", 7, 65)),
-            (MSG_VERIFICATION, struct.pack(">Q", 7)),
+            ((), MSG_PARITY_REQUEST, records((0, 0, 2), (1, 0, 2))),
+            ((), MSG_PARITY_REQUEST, records((0, 4, 9))),
+            ((), MSG_PARITY_REQUEST, records((0, 3, 3))),
+            ((), MSG_PARITY_REQUEST, records((0, 5, 2))),
+            ((), MSG_PARITY_REQUEST, records((0, 0, 2))[:-1]),
+            ((), MSG_PARITY_REQUEST, b""),
+            ((), MSG_PERMUTATION_SEED, bytes(7)),
+            ((), MSG_VERIFICATION, struct.pack(">QI", 7, 0)),
+            ((), MSG_VERIFICATION, struct.pack(">QI", 7, 65)),
+            ((), MSG_VERIFICATION, struct.pack(">Q", 7)),
+            (PERMUTED, MSG_PARITY_REQUEST, records((1, 0, 8), (0, 4, 9))),
+            (PERMUTED, MSG_PARITY_REQUEST, records((0, 0, 8), (1, 0, 9))),
+            (PERMUTED, MSG_PARITY_REQUEST, records((1, 0, 8), (2, 0, 2))),
         ],
         ids=[
             "unknown-sequence",
@@ -267,11 +409,17 @@ class TestProtocolErrors:
             "zero-subsets",
             "too-many-subsets",
             "short-verification",
+            "past-end-of-sequence-0-before-a-permutation",
+            "past-end-of-a-permutation",
+            "unknown-sequence-after-a-permutation",
         ],
     )
-    def test_alice_rejects_malformed_frame(self, msg_type, payload):
-        # Only sequence 0 exists, over an 8-bit key; Alice raises without answering.
+    def test_alice_rejects_malformed_frame(self, leading, msg_type, payload):
+        # Only sequence 0 exists, over an 8-bit key, and the permutations that
+        # leading PERMUTATION_SEED frames add; Alice raises without answering.
         pair = InProcessChannelPair()
+        for frame in leading:
+            pair.bob.send(*frame)
         pair.bob.send(msg_type, payload)
         with pytest.raises(ProtocolError):
             serve_parity_queries(np.zeros(8, dtype=np.uint8), pair.alice)

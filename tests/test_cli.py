@@ -120,6 +120,11 @@ class TestExitCodes:
                 for scenario, doc in (("bb84-run", {}), ("sweep", SWEEP_DOC))
                 for n_pulses in (1_000_000.7, 2.7, "100")
             ),
+            *(
+                dict(doc, seed=seed)
+                for doc in ({"scenario": "bb84-run"}, MC_DOC)
+                for seed in (-1, 1.5, "7", True, 2**64 + 42)
+            ),
         ],
         ids=[
             "jerlov-missing-reference",
@@ -143,12 +148,34 @@ class TestExitCodes:
             "sweep-fractional-pulses",
             "sweep-few-fractional-pulses",
             "sweep-string-pulses",
+            "bb84-negative-seed",
+            "bb84-fractional-seed",
+            "bb84-string-seed",
+            "bb84-bool-seed",
+            "bb84-seed-past-2**64",
+            "mc-negative-seed",
+            "mc-fractional-seed",
+            "mc-string-seed",
+            "mc-bool-seed",
+            "mc-seed-past-2**64",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, "c.json", doc)
         assert main([doc["scenario"], "--config", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario, doc", [("bb84-run", {}), ("mc-channel", MC_DOC)], ids=["bb84", "mc"]
+    )
+    def test_negative_seed_option(self, tmp_path, capsys, scenario, doc):
+        path = write_config(tmp_path, "c.json", dict(doc, scenario=scenario))
+        assert main([scenario, "--config", path, "--seed", "-3"]) == EXIT_CONFIG
+        assert "seed must be a whole number" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, "c.json", dict(MC_DOC, seed=2**64 - 1))
+        assert main(["mc-channel", "--config", path]) == EXIT_OK
 
     def test_csv_unsupported_for_scalar_scenarios(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", JERLOV_DOC)

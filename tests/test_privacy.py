@@ -13,6 +13,22 @@ def reference_toeplitz_hash(bits, output_length, seed_bits):
     return conv[n - 1 : n - 1 + output_length].astype(np.uint8)
 
 
+def whole_fft_toeplitz_hash(bits, output_length, seed_bits):
+    """The whole-length FFT product: one real-FFT convolution of the seed with the key.
+
+    O(n log n) in one transform of length >= m + n - 1, so it reaches keys
+    far beyond the direct convolution; the blocked product must match it
+    bit for bit.
+    """
+    n, m = len(bits), output_length
+    size = 1 << (m + n - 2).bit_length()
+    spectrum = np.fft.rfft(seed_bits, size) * np.fft.rfft(bits, size)
+    window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    counts = np.rint(window)
+    assert np.max(np.abs(window - counts)) < 0.25
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
+
+
 # (n, m) with 1 <= m <= n <= 3000.
 hash_shapes = st.integers(1, 3000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
 
@@ -77,6 +93,41 @@ class TestToeplitzHash:
         np.testing.assert_array_equal(
             toeplitz_hash(bits, m, seed_bits), reference_toeplitz_hash(bits, m, seed_bits)
         )
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (3 * 9547, 6838),  # three whole chunks of L = 16384 - m + 1
+            (62_000, 6838),  # a session-sized key: six chunks and a ragged seventh
+            (200_000, 100),  # many chunks of a short output
+            (40_000, 1),
+            (1000, 5000),  # m > n: one chunk
+            (5000, 5000),  # m = n
+            (50_000, 8191),  # just below half a 2^14 block
+            (50_000, 8192),  # exactly half a block
+            (50_000, 8193),  # just above: the block doubles to 2^15
+            (15_385, 1000),  # a whole product of 2^14 bits: one chunk
+            (15_386, 1000),  # one bit more: a second chunk of one bit
+            (3000, 330),  # a short key: one chunk of 4096
+        ],
+    )
+    @pytest.mark.parametrize("density", [0.5, 1.0])
+    def test_matches_the_whole_length_product(self, n, m, density):
+        rng = np.random.default_rng(n + m)
+        bits = (rng.random(n) < density).astype(np.uint8)
+        seed_bits = rng.integers(0, 2, m + n - 1, dtype=np.uint8)
+        np.testing.assert_array_equal(
+            toeplitz_hash(bits, m, seed_bits), whole_fft_toeplitz_hash(bits, m, seed_bits)
+        )
+
+    def test_all_ones_over_several_blocks(self):
+        # Every count is n, the largest, summed over fifteen chunks.
+        n, m = 1_000_001, 60_000
+        bits = np.ones(n, dtype=np.uint8)
+        seed_bits = np.ones(m + n - 1, dtype=np.uint8)
+        out = toeplitz_hash(bits, m, seed_bits)
+        np.testing.assert_array_equal(out, whole_fft_toeplitz_hash(bits, m, seed_bits))
+        np.testing.assert_array_equal(out, np.full(m, n % 2, dtype=np.uint8))
 
     def test_rounding_guard_rejects_an_inexact_product(self, monkeypatch):
         irfft = np.fft.irfft
