@@ -6,11 +6,14 @@ resolves clicks on two analyzer arms with Poissonian signal statistics, dark
 counts, and background light.  Sifting, error estimation, CASCADE
 reconciliation, and Toeplitz privacy amplification complete the pipeline.
 
-Detection draws only the pulses that can click at unit transmission, the
-candidates, so its work and memory are O(detections), not O(pulses).  These
-draws do not depend on the channel transmission: sessions with the same seed
-share them (common random numbers), and a pulse detected at one transmission
-is detected at every higher one, so a sweep varies smoothly.
+Detection is a thinning sampler: it draws only the pulses that could click
+at unit transmission, the candidates, with one uniform each that picks the
+pulse's cell, which arms are below their unit-transmission bounds and
+whether they click; only a candidate with both arms below draws again.  Its
+work and memory are O(detections), not O(pulses).  No draw depends on the
+channel transmission: sessions with the same seed share them (common random
+numbers), and a pulse detected at one transmission is detected at every
+higher one, so a sweep varies smoothly.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from ..characterization import arm0_probabilities
 from ..polarization import PHYSICALITY_TOL, MuellerMatrix, PhysicalityError
+from ..rngstream import check_seed
 from .cascade import cascade_reconcile
 from .classical_channel import InProcessChannelPair
 from .privacy import privacy_amplify
@@ -46,6 +50,7 @@ class SessionConfig:
     a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`)
     and be passive: each state's output intensity s0, at most 1, scales its
     mean photon number, and ``channel_transmission`` applies on top.
+    ``seed`` must be an integer in [0, 2^64), as everywhere in the package.
     """
 
     pulse_rate: float = 1e6
@@ -86,6 +91,7 @@ class SessionConfig:
             raise ValueError("intrinsic_error must lie in [0, 0.5]")
         if self.sifting_factor <= 0:
             raise ValueError("sifting_factor must be positive")
+        check_seed(self.seed)
         _, s0 = arm0_probabilities(self.channel_mueller)
         if s0.max() > 1.0 + PHYSICALITY_TOL:
             raise PhysicalityError(f"channel amplifies a signal state (s0 = {s0.ravel()})")
@@ -157,12 +163,32 @@ def detect_pulses(cfg: SessionConfig, rng):
     Returns the detected pulses' (alice_bits, alice_bases, bob_bases,
     bob_bits) in pulse order; a double click is squashed to a fair coin.  A
     pulse falls into one of 8 equally likely ``[basis, bit, bob_basis]``
-    cells and clicks arm i when its uniform u_i is below the cell's click
-    probability pc_i, which grows with the transmission T <= 1.  The
-    candidates (some u_i below its value b_i at T = 1) are drawn as one
-    multinomial of cell counts, one uniform permutation (they are
-    exchangeable) and their u_i conditioned on the bounds, then thresholded
-    at the session's T: exactly the law of drawing every pulse.
+    cells, and arm i clicks with the cell's probability pc_i, which grows
+    with the transmission T <= 1 up to its value b_i at T = 1.
+
+    Candidates are thinned (Lewis & Shedler 1979): N ~ Bin(n_pulses, q_max)
+    pulses are candidates, with one uniform u each.  x = 8u gives the cell
+    floor(x) and v = (x - cell) q_max, uniform on [0, q_max), so a candidate
+    lands in a part of width w of its cell with probability w / 8 per pulse.
+    Per pulse of a cell, arm 0 alone is below its bound with probability
+    b0 (1 - b1), both arms with b0 b1 and arm 1 alone with (1 - b0) b1, and
+    an arm below its bound clicks with probability pc_i / b_i.  So
+    v >= q = 1 - (1 - b0)(1 - b1) rejects, and below q:
+
+    - [0, b0(1 - b1)): arm 0 alone; it clicks iff v < pc0 (1 - b1);
+    - [b0(1 - b1), b0): both; arm 0 clicks iff v < b0(1 - b1) + b1 pc0,
+      arm 1 iff a second uniform is below pc1 / b1, and a coin squashes the
+      double click;
+    - [b0, q): arm 1 alone; it clicks iff v < b0 + (1 - b0) pc1.
+
+    Every outcome has its exact probability and the candidates are i.i.d.
+    in pulse order: the law of drawing every pulse.  No draw depends on T:
+    q_max, the region edges and so the count of both-arms draws come from
+    the T = 1 bounds, and the generator's state after this call is the same
+    at every T.  Each click threshold rises with T from its region's fixed
+    start, so an arm that clicks at one transmission clicks at every higher
+    one, and a pulse detected at one transmission is detected at every
+    higher one.
     """
     # Arm-0 probability per cell after the intrinsic error e, and each
     # state's channel output intensity s0, which scales its photon number.
@@ -177,26 +203,54 @@ def detect_pulses(cfg: SessionConfig, rng):
 
     b0, b1 = click_tables(1.0)
     pc0, pc1 = click_tables(cfg.channel_transmission)
-    q = 1.0 - (1.0 - b0) * (1.0 - b1)
-    counts = rng.multinomial(cfg.n_pulses, np.append(q / 8, 1.0 - q.mean()))[:8]
-    cell = rng.permutation(np.repeat(np.arange(8, dtype=np.uint8), counts))
-    # One uniform v on [0, q) picks the arms below their bounds: arm 0 only
-    # with weight b0(1 - b1), both with b0 b1, arm 1 only with (1 - b0) b1.
-    v = rng.random(cell.size) * q[cell]
-    c0 = (v < b0[cell]) & (rng.random(cell.size) * b0[cell] < pc0[cell])
-    c1 = (v >= (b0 * (1.0 - b1))[cell]) & (rng.random(cell.size) * b1[cell] < pc1[cell])
-    coin = rng.integers(0, 2, cell.size, dtype=np.uint8)
-    detected = c0 | c1
-    cell = cell[detected]
-    return (cell >> 1) & 1, cell >> 2, cell & 1, np.where(c0 & c1, coin, c1)[detected]
+    q_max = (1.0 - (1.0 - b0) * (1.0 - b1)).max()
+    # The docstring's thresholds as per-cell edges of x: v < t reads
+    # x < cell + t / q_max.  With q_max = 0 no candidate is drawn and the
+    # edges go unread.
+    scale = 1.0 / q_max if q_max > 0 else 0.0
+    lo = b0 * (1.0 - b1)
+    x0, x_lo, x_both0, x_hi, x1 = (
+        np.arange(8) + t * scale
+        for t in (pc0 * (1.0 - b1), lo, lo + b1 * pc0, b0, b0 + (1.0 - b0) * pc1)
+    )
+
+    x = rng.random(rng.binomial(cfg.n_pulses, q_max))
+    x *= 8.0
+    cell = x.astype(np.intp)
+    # mode="clip" (cell is in range): "raise" would buffer the output.
+    edge = np.take(x_hi, cell, mode="clip")
+    c1 = x >= edge  # arm 1 alone, or rejected
+    both = x >= np.take(x_lo, cell, out=edge, mode="clip")
+    both &= ~c1
+    c1 &= x < np.take(x1, cell, out=edge, mode="clip")
+    c0 = x < np.take(x0, cell, out=edge, mode="clip")
+    del edge
+
+    both = np.flatnonzero(both)
+    both_cell = cell[both]
+    c0_both = x[both] < x_both0[both_cell]
+    c1_both = rng.random(both.size) * b1[both_cell] < pc1[both_cell]
+    coin = rng.integers(0, 2, both.size, dtype=bool)
+    c0[both] = c0_both
+    # Bob's bit: arm 1 alone, or a double click's coin.
+    c1[both] = c1_both & (coin | ~c0_both)
+    del x
+
+    code = cell.astype(np.uint8)
+    del cell
+    code |= c1.view(np.uint8) << 3
+    code = np.compress(c0 | c1, code)
+    return (code >> 1) & 1, (code >> 2) & 1, code & 1, code >> 3
 
 
 def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
     """Run a full BB84 session: prepare, detect, sift, reconcile, amplify."""
     rng = np.random.default_rng(cfg.seed)
     bits, bases, bob_bases, bob_bits = detect_pulses(cfg, rng)
+    # np.compress: boolean indexing is several times slower on a mask that
+    # is true for a random half of the entries.
     sifted = bases == bob_bases
-    sifted_alice, sifted_bob = bits[sifted], bob_bits[sifted]
+    sifted_alice, sifted_bob = np.compress(sifted, bits), np.compress(sifted, bob_bits)
     detected_pulses = len(bits)
 
     duration = cfg.n_pulses / cfg.pulse_rate

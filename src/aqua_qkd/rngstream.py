@@ -16,6 +16,7 @@ around it.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -87,8 +88,18 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     return tuple(w.reshape(shape)[()] for w in out)
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer in [0, 2^64).
+
+    The cipher key is the seed's 64 bits, so a wider seed would alias a
+    narrower one (2^64 + 42 would run seed 42, -1 seed 2^64 - 1).
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _key_words(seed: int):
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    s = np.uint64(seed)
     return np.uint32(s & _MASK32), np.uint32(s >> np.uint64(32))
 
 

@@ -308,10 +308,12 @@ def run_transport(
     every photon index owns its own counter-based substream, and batch/worker
     partitioning only changes the order of commutative integer sums.  Raises
     ``RuntimeError`` if any photon is still in flight after ``_MAX_EVENTS``
-    events, rather than dropping it from the counts.
+    events, rather than dropping it from the counts, and ``ValueError`` for
+    a seed outside [0, 2^64), which the cipher key would alias.
     """
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")
+    rngstream.check_seed(seed)
     starts = range(0, n_photons, _BATCH)
     counts = [min(_BATCH, n_photons - s) for s in starts]
     simulate = functools.partial(_simulate_batch, ch, beam, seed)

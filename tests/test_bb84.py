@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,14 @@ class TestDetectPulse:
         assert len(bits) / 10_000 == pytest.approx(0.51, abs=0.02)
         assert bob_bits.mean() == pytest.approx(0.5, abs=0.03)
 
+    def test_no_light_and_no_noise_detects_nothing(self):
+        # No pulse can click, so no candidate is drawn, and nothing divides
+        # by the zero candidate probability.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = detect(quiet_config(mean_photon_number=0.0, n_pulses=10_000))
+        assert all(a.shape == (0,) for a in out)
+
     def test_chunk_peak_memory_per_pulse(self):
         # Only pulses that can click are drawn, and at T = 1 each of them
         # clicks, so memory is a fixed number of bytes per detected pulse:
@@ -259,6 +268,87 @@ class TestDetectionLaw:
         remaining = iter(hi_cells)
         assert all(cell in remaining for cell in lo_cells)
 
+    def test_diattenuating_channel_counts_per_cell(self):
+        # A diattenuator passing H with t_x = 0.9 and V with t_y = 0.5 gives
+        # the states unequal output intensities s0, so the cells have unequal
+        # candidate probabilities q and the sampler rejects candidates of the
+        # cells below the largest q.  Each cell's detections, and those where
+        # Bob's bit differs from Alice's (the wrong bits of a matched cell),
+        # are Bin(n_pulses, p / 8) under the Malus law of the channel output.
+        tx, ty = 0.9, 0.5
+        r = 2.0 * math.sqrt(tx * ty)
+        diattenuator = MuellerMatrix(
+            0.5
+            * np.array(
+                [[tx + ty, tx - ty, 0, 0], [tx - ty, tx + ty, 0, 0], [0, 0, r, 0], [0, 0, 0, r]]
+            )
+        )
+        cfg = quiet_config(
+            mean_photon_number=1.0,
+            detector_efficiency=1.0,
+            intrinsic_error=0.03,
+            dark_count_prob=1e-3,
+            background_prob=5e-4,
+            channel_mueller=diattenuator,
+            channel_transmission=0.5,
+            n_pulses=400_000,
+            seed=13,
+        )
+
+        mu_eta = cfg.mean_photon_number * cfg.detector_efficiency
+        no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
+        e = cfg.intrinsic_error
+
+        def cell_probabilities(t):
+            """[basis, bit, bob_basis] -> (detected, Bob's bit differs)."""
+            out = {}
+            for (basis, bit), state in STATE_MAP.items():
+                s = diattenuator.m @ state.as_array()
+                for bob_basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
+                    p0 = (1.0 + s[1 + bob_basis] / s[0]) / 2.0 * (1.0 - 2.0 * e) + e
+                    arm0, arm1 = (
+                        1.0 - math.exp(-mu_eta * t * s[0] * p) * no_noise for p in (p0, 1.0 - p0)
+                    )
+                    detected = 1.0 - (1.0 - arm0) * (1.0 - arm1)
+                    bob_one = arm1 * (1.0 - arm0) + arm0 * arm1 / 2.0
+                    differs = bob_one if bit == 0 else detected - bob_one
+                    out[basis, bit, bob_basis] = detected, differs
+            return out
+
+        q = [detected for detected, _ in cell_probabilities(1.0).values()]
+        assert min(q) < 0.8 * max(q)
+        bits, bases, bob_bases, bob_bits = detect(cfg)
+        sifted = wrong = 0.0
+        for (basis, bit, bob_basis), (p_det, p_differs) in cell_probabilities(0.5).items():
+            cell = (bases == basis) & (bits == bit) & (bob_bases == bob_basis)
+            assert_binomial(int(np.count_nonzero(cell)), cfg.n_pulses, p_det / 8)
+            differs = int(np.count_nonzero(cell & (bob_bits != bits)))
+            assert_binomial(differs, cfg.n_pulses, p_differs / 8)
+            if basis == bob_basis:
+                sifted += p_det / 8
+                wrong += p_differs / 8
+        matched = bases == bob_bases
+        assert_binomial(int(np.count_nonzero(matched)), cfg.n_pulses, sifted)
+        assert_binomial(int(np.count_nonzero(matched & (bob_bits != bits))), cfg.n_pulses, wrong)
+
+    def test_generator_state_after_detection_does_not_depend_on_transmission(self):
+        # CASCADE and privacy amplification draw from the generator after
+        # detection, so their seeds are common random numbers across the
+        # points of a sweep only if detection draws the same at every T.
+        cfg = quiet_config(
+            mean_photon_number=1.0,
+            detector_efficiency=1.0,
+            intrinsic_error=0.03,
+            dark_count_prob=1e-3,
+            n_pulses=50_000,
+        )
+        states = []
+        for t in (0.3, 1.0):
+            rng = np.random.default_rng(14)
+            detect_pulses(replace(cfg, channel_transmission=t), rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
+
 
 class TestQberAndRate:
     def test_qber_is_a_direct_count(self):
@@ -341,6 +431,12 @@ class TestSessionConfig:
     def test_rejects_noise_above_one(self):
         with pytest.raises(ValueError):
             quiet_config(dark_count_prob=0.6, background_prob=0.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            quiet_config(seed=seed)
+        assert quiet_config(seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestRunSession:

@@ -353,3 +353,13 @@ class TestRunTransport:
     def test_rejects_zero_photons(self):
         with pytest.raises(ValueError):
             run_transport(ChannelParams(**WATER), BeamParams(), 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 42, 1.0, True, "42"])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # The cipher key is the seed's 64 bits: 2**64 + 42 would alias seed 42.
+        with pytest.raises(ValueError, match="seed"):
+            run_transport(ChannelParams(**WATER), BeamParams(), 10, seed=seed)
+
+    def test_accepts_the_largest_seed(self):
+        stats = run_transport(ChannelParams(**WATER), BeamParams(), 10, seed=2**64 - 1)
+        assert stats.launched == 10
