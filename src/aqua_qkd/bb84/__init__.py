@@ -8,10 +8,10 @@ from .classical_channel import (
     MSG_PARITY_RESPONSE,
     MSG_PERMUTATION_SEED,
     MSG_VERIFICATION,
+    ChannelEndpoint,
     FrameDecoder,
     FramedStreamChannel,
     FramingError,
-    InProcessChannelPair,
     encode_frame,
 )
 from .privacy import privacy_amplify, toeplitz_hash
@@ -31,10 +31,10 @@ __all__ = [
     "BASIS_DIAGONAL",
     "BASIS_RECTILINEAR",
     "STATE_MAP",
+    "ChannelEndpoint",
     "FrameDecoder",
     "FramedStreamChannel",
     "FramingError",
-    "InProcessChannelPair",
     "InsufficientKeyError",
     "KeyMaterial",
     "MSG_PARITY_REQUEST",

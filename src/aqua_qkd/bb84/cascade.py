@@ -9,7 +9,7 @@ position such a wave finds is a true error: Bob flips each once, then
 searches, as the next wave, the blocks of every pass so far that the flips
 left mismatched.  A final verification stage compares random subset
 parities, up to ``MAX_SUBSETS`` per frame, until a run of
-``verify_parities`` matches.
+``VERIFY_PARITIES`` matches.
 
 Both sides number the *sequences* of key positions they can derive alike:
 sequence 0 is the key in order, each PERMUTATION_SEED frame (``>Q`` seed)
@@ -21,14 +21,16 @@ records of three ``>u4`` each; Alice answers every ``[start, end)`` range of
 a frame with one pair of lookups into the prefix parities of her key over
 every sequence, laid end to end.  A VERIFICATION frame asks for the
 parities of its subsets.  Alice answers every request with one
-PARITY_RESPONSE of packed bits (``np.packbits``), sent with
-``disclosed_bits`` equal to their count, and Bob's oracle charges the same
-count; an empty VERIFICATION frame ends the dialogue.  Seeds carry no key
+PARITY_RESPONSE of packed bits (``np.packbits``); an empty VERIFICATION
+frame ends the dialogue.  Bob's :class:`RemoteOracle` is the one ledger of
+the leak: it counts every parity bit a response carries.  Seeds carry no key
 information and are not counted.
 
-When both sides run in one process, a permutation or a set of subset words
-is expanded from its seed once: Bob publishes what he expands for as long as
-his dialogue runs, and Alice takes it from there.
+When both sides run in one process, Alice answers each frame as Bob sends
+it, through a :class:`~aqua_qkd.bb84.classical_channel.ChannelEndpoint`, and
+a permutation or a set of subset words is expanded from its seed once: Bob
+publishes what he expands for as long as his dialogue runs, and Alice takes
+it from there.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ from .classical_channel import (
     MSG_PARITY_RESPONSE,
     MSG_PERMUTATION_SEED,
     MSG_VERIFICATION,
-    InProcessChannelPair,
+    ChannelEndpoint,
 )
 
 FIRST_PASS_COEFF = 0.73
 PASSES = 4
-DEFAULT_VERIFY_PARITIES = 64
+VERIFY_PARITIES = 64  # the clean run that ends verification, within 8x as many checks
 MAX_SUBSETS = 64  # verification subsets per frame: the bits of one uint64 per position
 
 _SEED = struct.Struct(">Q")
@@ -168,20 +170,18 @@ class _Alice:
         offset = self._offset[seq]
         return self._joined[offset + end] ^ self._joined[offset + start]
 
-    def answer(self, msg_type: int, payload: bytes, channel) -> bool:
-        """Answer one frame from Bob; False once the closing frame arrives."""
+    def answer(self, msg_type: int, payload: bytes) -> tuple[int, bytes] | None:
+        """Alice's reply frame to one frame from Bob; None for a PERMUTATION_SEED."""
         n = len(self._key)
         if msg_type == MSG_PERMUTATION_SEED:
             if len(payload) != _SEED.size:
                 raise ProtocolError(f"permutation seed of {len(payload)} bytes")
             (seed,) = _SEED.unpack(payload)
             self._lay(self._add(1), self._key[_expanded(_permutation, seed, n)])
-            return True
+            return None
         if msg_type == MSG_PARITY_REQUEST:
             bits = self._range_parities(payload)
         elif msg_type == MSG_VERIFICATION:
-            if not payload:
-                return False
             if len(payload) != _VERIFY.size:
                 raise ProtocolError(f"verification frame of {len(payload)} bytes")
             seed, count = _VERIFY.unpack(payload)
@@ -192,44 +192,28 @@ class _Alice:
             self._subsets.update((first + j, (seed, j)) for j in range(count))
         else:
             raise ProtocolError(f"unexpected message type {msg_type:#x}")
-        channel.send(MSG_PARITY_RESPONSE, np.packbits(bits).tobytes(), disclosed_bits=len(bits))
-        return True
+        return MSG_PARITY_RESPONSE, np.packbits(bits).tobytes()
 
 
 def serve_parity_queries(alice_key, channel) -> None:
-    """Answer parity queries over ``channel`` until an empty VERIFICATION frame.
+    """Run Alice's side over ``channel`` until an empty VERIFICATION frame closes it.
 
-    Runs Alice's side when her endpoint lives behind a byte-stream transport,
-    typically on its own thread or process.
+    Receives each frame from Bob and sends her reply, when it has one.  This
+    is her side behind a byte-stream transport, typically on its own thread
+    or process.
     """
     alice = _Alice(np.asarray(alice_key, dtype=np.uint8))
-    while alice.answer(*channel.recv(), channel):
-        pass
-
-
-class _InlineAlice:
-    """Bob's endpoint of an :class:`InProcessChannelPair` with Alice answering inline.
-
-    Alice answers each frame as soon as Bob sends it, so Bob's next receive
-    finds her response waiting and a single thread runs both sides.
-    """
-
-    def __init__(self, alice_key: np.ndarray, pair: InProcessChannelPair):
-        self._alice = _Alice(alice_key)
-        self._pair = pair
-
-    def send(self, msg_type: int, payload: bytes):
-        self._pair.bob.send(msg_type, payload)
-        self._alice.answer(*self._pair.alice.recv(), self._pair.alice)
-
-    def recv(self) -> tuple[int, bytes]:
-        return self._pair.bob.recv()
+    while (frame := channel.recv()) != (MSG_VERIFICATION, b""):
+        reply = alice.answer(*frame)
+        if reply is not None:
+            channel.send(*reply)
 
 
 class RemoteOracle:
     """Bob's parity oracle over one message endpoint; Alice answers at the other end.
 
-    Counts one disclosed bit per parity carried by each response received.
+    ``bits_disclosed`` is the dialogue's one leak ledger: it counts one bit per
+    parity carried by each response received.
     """
 
     def __init__(self, channel):
@@ -296,17 +280,11 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
     return found[np.diff(found, prepend=-1) != 0]
 
 
-def reconcile_with_oracle(
-    bob_key,
-    qber_estimate: float,
-    oracle,
-    rng,
-    verify_parities: int = DEFAULT_VERIFY_PARITIES,
-) -> np.ndarray:
+def reconcile_with_oracle(bob_key, qber_estimate: float, oracle, rng) -> np.ndarray:
     """Run the ``PASSES``-pass reconciliation dialogue; returns Bob's corrected key.
 
     Raises :class:`ProtocolError` when the verification stage finds no run of
-    ``verify_parities`` matching subset parities within ``8 * verify_parities``
+    ``VERIFY_PARITIES`` matching subset parities within ``8 * VERIFY_PARITIES``
     checks, rather than return a key it could not confirm.  A frame of
     subsets that holds a mismatch counts none of its matches toward the run.
     """
@@ -318,10 +296,10 @@ def reconcile_with_oracle(
         raise ProtocolError(f"qber_estimate must lie in (0, 0.5), got {qber_estimate}")
 
     with _expanding(n) as expand:
-        return _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand)
+        return _reconcile(bob, qber_estimate, oracle, rng, expand)
 
 
-def _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand) -> np.ndarray:
+def _reconcile(bob, qber_estimate, oracle, rng, expand) -> np.ndarray:
     n = len(bob)
     k1 = math.ceil(FIRST_PASS_COEFF / qber_estimate)
     sizes = [min(n, k1 * (2**p)) for p in range(PASSES)]
@@ -371,13 +349,13 @@ def _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand) -> np.n
     # Verification stage: random subset parities, a frame at a time, until a clean run.
     consecutive = 0
     checks = 0
-    while consecutive < verify_parities:
-        if checks == 8 * verify_parities:
+    while consecutive < VERIFY_PARITIES:
+        if checks == 8 * VERIFY_PARITIES:
             raise ProtocolError(
-                f"verification found no run of {verify_parities} matching parities"
+                f"verification found no run of {VERIFY_PARITIES} matching parities"
                 f" in {checks} checks"
             )
-        count = min(verify_parities - consecutive, 8 * verify_parities - checks, MAX_SUBSETS)
+        count = min(VERIFY_PARITIES - consecutive, 8 * VERIFY_PARITIES - checks, MAX_SUBSETS)
         seed = int(rng.integers(0, 2**63))
         words = expand(_subset_words, seed)
         bad = np.flatnonzero(oracle.verify(seed, count) != _subset_parities(bob, words, count))
@@ -396,24 +374,16 @@ def _reconcile(bob, qber_estimate, oracle, rng, verify_parities, expand) -> np.n
     return bob
 
 
-def cascade_reconcile(
-    alice_key,
-    bob_key,
-    qber_estimate: float,
-    chan: InProcessChannelPair | None,
-    rng,
-) -> tuple[np.ndarray, int]:
+def cascade_reconcile(alice_key, bob_key, qber_estimate: float, rng) -> tuple[np.ndarray, int]:
     """Reconcile Bob's key against Alice's; returns (corrected_bob, leaked_bits).
 
-    Both sides run in-process over ``chan`` (a fresh pair when None), Alice
-    answering inline.  Alice's key is never modified; ``leaked_bits`` counts
-    the parity bits Bob received.
+    Both sides run in-process, Alice answering each of Bob's frames as he
+    sends it.  Alice's key is never modified; ``leaked_bits`` counts the
+    parity bits Bob received.
     """
     alice = np.asarray(alice_key, dtype=np.uint8)
     bob = np.asarray(bob_key, dtype=np.uint8)
     if len(alice) != len(bob):
         raise ProtocolError(f"key length mismatch: {len(alice)} vs {len(bob)}")
-    if chan is None:
-        chan = InProcessChannelPair()
-    oracle = RemoteOracle(_InlineAlice(alice, chan))
+    oracle = RemoteOracle(ChannelEndpoint(_Alice(alice).answer))
     return reconcile_with_oracle(bob, qber_estimate, oracle, rng), oracle.bits_disclosed

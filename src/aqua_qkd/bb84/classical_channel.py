@@ -2,20 +2,18 @@
 
 Two interchangeable transports carry the reconciliation dialogue:
 
-* :class:`InProcessChannelPair` — a pair of in-memory message queues.
+* :class:`ChannelEndpoint` — an in-memory endpoint whose peer, a function
+  in the same process, answers each message as it is sent.
 * :class:`FramedStreamChannel` — the same message interface over a byte
   stream, each message framed as a 4-byte big-endian length (covering the
   tag and payload) + 1-byte type tag + payload.
 
 Four message types carry CASCADE (:mod:`aqua_qkd.bb84.cascade`, which
-defines their payloads): PARITY_REQUEST holds Bob's (sequence, start, end)
-range records, PARITY_RESPONSE Alice's packed parity bits, PERMUTATION_SEED
-a seed both sides expand into a permutation, and VERIFICATION a seed and a
-count of random subsets (empty to close the dialogue).
-
-Every endpoint carries a leak accountant: each frame's ``disclosed_bits``,
-the number of parity bits a response carries, is added to
-``bits_disclosed``.
+defines their payloads and counts the parity bits disclosed): PARITY_REQUEST
+holds Bob's (sequence, start, end) range records, PARITY_RESPONSE Alice's
+packed parity bits, PERMUTATION_SEED a seed both sides expand into a
+permutation, and VERIFICATION a seed and a count of random subsets (empty to
+close the dialogue).
 """
 
 from __future__ import annotations
@@ -70,55 +68,28 @@ class FrameDecoder:
         return out
 
 
-class LeakAccountant:
-    """Shared counter of key bits disclosed over a channel."""
-
-    def __init__(self):
-        self.bits = 0
-
-    def add(self, nbits: int):
-        if nbits < 0:
-            raise ValueError("disclosed bit count cannot be negative")
-        self.bits += nbits
-
-
 class ChannelEndpoint:
-    """One side of an ordered, reliable, bidirectional message channel."""
+    """One side of an in-process channel; ``peer(msg_type, payload)`` answers each message.
 
-    def __init__(self, inbox: deque, outbox: deque, accountant: LeakAccountant):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._accountant = accountant
+    The peer's reply frame, when it returns one rather than None, waits for
+    the next :meth:`recv`.
+    """
 
-    def send(self, msg_type: int, payload: bytes, disclosed_bits: int = 0):
+    def __init__(self, peer):
+        self._peer = peer
+        self._inbox: deque = deque()
+
+    def send(self, msg_type: int, payload: bytes):
         if msg_type not in _VALID_TYPES:
             raise FramingError(f"unknown message type {msg_type:#x}")
-        self._accountant.add(disclosed_bits)
-        self._outbox.append((msg_type, bytes(payload)))
+        reply = self._peer(msg_type, bytes(payload))
+        if reply is not None:
+            self._inbox.append(reply)
 
     def recv(self) -> tuple[int, bytes]:
         if not self._inbox:
             raise RuntimeError("no pending message on channel")
         return self._inbox.popleft()
-
-    @property
-    def bits_disclosed(self) -> int:
-        return self._accountant.bits
-
-
-class InProcessChannelPair:
-    """Alice/Bob endpoint pair backed by two in-memory queues."""
-
-    def __init__(self):
-        a_to_b: deque = deque()
-        b_to_a: deque = deque()
-        self._accountant = LeakAccountant()
-        self.alice = ChannelEndpoint(inbox=b_to_a, outbox=a_to_b, accountant=self._accountant)
-        self.bob = ChannelEndpoint(inbox=a_to_b, outbox=b_to_a, accountant=self._accountant)
-
-    @property
-    def bits_disclosed(self) -> int:
-        return self._accountant.bits
 
 
 class FramedStreamChannel:
@@ -128,10 +99,8 @@ class FramedStreamChannel:
         self._sock = sock
         self._decoder = FrameDecoder()
         self._pending: deque = deque()
-        self._accountant = LeakAccountant()
 
-    def send(self, msg_type: int, payload: bytes, disclosed_bits: int = 0):
-        self._accountant.add(disclosed_bits)
+    def send(self, msg_type: int, payload: bytes):
         self._sock.sendall(encode_frame(msg_type, payload))
 
     def recv(self) -> tuple[int, bytes]:
@@ -142,6 +111,3 @@ class FramedStreamChannel:
             self._pending.extend(self._decoder.feed(chunk))
         return self._pending.popleft()
 
-    @property
-    def bits_disclosed(self) -> int:
-        return self._accountant.bits

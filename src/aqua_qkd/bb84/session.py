@@ -26,7 +26,6 @@ from ..characterization import arm0_probabilities
 from ..polarization import PHYSICALITY_TOL, MuellerMatrix, PhysicalityError
 from ..rngstream import check_seed
 from .cascade import cascade_reconcile
-from .classical_channel import InProcessChannelPair
 from .privacy import privacy_amplify
 
 MIN_SIFTED_BITS = 256
@@ -80,11 +79,15 @@ class SessionConfig:
             "dark_count_prob",
             "background_prob",
             "extraction_ratio",
-            "qber_estimation_fraction",
         ):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if not 0.0 <= self.qber_estimation_fraction < 1.0:
+            # At 1 the estimate discloses every sifted bit and leaves no key.
+            raise ValueError(
+                f"qber_estimation_fraction must lie in [0, 1), got {self.qber_estimation_fraction}"
+            )
         if self.dark_count_prob + self.background_prob > 1.0:
             raise ValueError("dark_count_prob + background_prob must not exceed 1")
         if not 0.0 <= self.intrinsic_error <= 0.5:
@@ -281,8 +284,7 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
         qber_est = stats.qber
     qber_est = min(0.49, max(qber_est, 1.0 / len(cascade_alice)))
 
-    chan = InProcessChannelPair()
-    reconciled, leaked = cascade_reconcile(cascade_alice, cascade_bob, qber_est, chan, rng)
+    reconciled, leaked = cascade_reconcile(cascade_alice, cascade_bob, qber_est, rng)
     secret = privacy_amplify(reconciled, rng, extraction_ratio=cfg.extraction_ratio)
 
     stats = replace(

@@ -243,7 +243,7 @@ def test_criterion_07_cascade_bsc_trials():
     for _ in range(100):
         alice = rng.integers(0, 2, n, dtype=np.uint8)
         bob = alice ^ (rng.random(n) < p).astype(np.uint8)
-        reconciled, leaked = cascade_reconcile(alice, bob, p, None, rng)
+        reconciled, leaked = cascade_reconcile(alice, bob, p, rng)
         successes += int(np.array_equal(reconciled, alice))
         leak_fractions.append(leaked / n)
     h2 = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))

@@ -139,7 +139,7 @@ class TestDetectPulse:
             out = detect(quiet_config(mean_photon_number=0.0, n_pulses=10_000))
         assert all(a.shape == (0,) for a in out)
 
-    def test_chunk_peak_memory_per_pulse(self):
+    def test_peak_memory_per_detection(self):
         # Only pulses that can click are drawn, and at T = 1 each of them
         # clicks, so memory is a fixed number of bytes per detected pulse:
         # nothing is allocated per pulse sent.
@@ -165,7 +165,7 @@ class TestSift:
         np.testing.assert_array_equal(material.sifted_alice, bits[keep])
         np.testing.assert_array_equal(material.sifted_bob, bob_bits[keep])
 
-    def test_sifts_across_chunk_boundaries(self):
+    def test_long_session_sifts_in_pulse_order(self):
         # A long session sifts exactly the matched-basis detections, and in
         # pulse order: neighbouring sifted bits share a basis (and a bit)
         # with probability 1/2, not in runs grouped by cell.
@@ -431,6 +431,12 @@ class TestSessionConfig:
     def test_rejects_noise_above_one(self):
         with pytest.raises(ValueError):
             quiet_config(dark_count_prob=0.6, background_prob=0.5)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
+    def test_estimation_fraction_leaves_a_key(self, fraction):
+        # At 1 the QBER estimate would disclose every sifted bit.
+        with pytest.raises(ValueError, match=r"qber_estimation_fraction must lie in \[0, 1\)"):
+            quiet_config(qber_estimation_fraction=fraction)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True])
     def test_rejects_seed_outside_64_bits(self, seed):

@@ -14,13 +14,22 @@ from aqua_qkd import experiments
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture(scope="module")
-def spans():
+def _import_from_bench(name: str):
     sys.path.insert(0, str(ROOT / "bench"))
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(ROOT / "bench"))
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _import_from_bench("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _import_from_bench("workloads")
 
 
 def test_tracer_installs_and_uninstalls_every_target(spans):
@@ -60,4 +69,28 @@ def test_traced_scenarios_pass_through_the_wrapped_names(spans):
         "cascade.cascade_reconcile",
         "privacy.privacy_amplify",
         "classical_channel.send",
+    }
+
+
+def test_traced_framed_reconciliation_passes_through_the_wrapped_names(spans, workloads):
+    # One key of the reconcile-framed workload: Bob's RemoteOracle and
+    # Alice's serve_parity_queries, each over a FramedStreamChannel.
+    wl = workloads.ReconcileFramed(n_bits=2_000)
+    wl.setup()
+    tracer = spans.Tracer()
+    try:
+        inputs = wl.inputs(3, 0)
+        tracer.install()
+        try:
+            outcome = wl.run(inputs)
+        finally:
+            tracer.uninstall()
+    finally:
+        wl.close()
+    assert outcome.failures == []
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert names >= {
+        "cascade.reconcile_with_oracle",
+        "classical_channel.send",
+        "classical_channel.recv",
     }

@@ -12,8 +12,8 @@ import pytest
 from aqua_qkd.bb84 import cascade
 from aqua_qkd.bb84.cascade import (
     ProtocolError,
-    _InlineAlice,
     RemoteOracle,
+    _Alice,
     cascade_reconcile,
     reconcile_with_oracle,
     serve_parity_queries,
@@ -23,8 +23,8 @@ from aqua_qkd.bb84.classical_channel import (
     MSG_PARITY_RESPONSE,
     MSG_PERMUTATION_SEED,
     MSG_VERIFICATION,
+    ChannelEndpoint,
     FramedStreamChannel,
-    InProcessChannelPair,
 )
 
 
@@ -45,9 +45,9 @@ class RecordingChannel(FramedStreamChannel):
         super().__init__(sock)
         self.sent = []
 
-    def send(self, msg_type, payload, disclosed_bits=0):
+    def send(self, msg_type, payload):
         self.sent.append((msg_type, bytes(payload)))
-        super().send(msg_type, payload, disclosed_bits)
+        super().send(msg_type, payload)
 
 
 def carried_parity_bits(requests, responses) -> int:
@@ -67,28 +67,43 @@ def carried_parity_bits(requests, responses) -> int:
     return total
 
 
-class CountingChannelPair(InProcessChannelPair):
-    """Counts the frames either side sends."""
+class CountingEndpoint(ChannelEndpoint):
+    """Bob's in-process endpoint to Alice; counts the frames of both directions."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, alice_key):
+        super().__init__(_Alice(alice_key).answer)
         self.frames = 0
-        for end in (self.alice, self.bob):
-            end.send = self._counted(end.send)
 
-    def _counted(self, send):
-        def counted(*args, **kwargs):
-            self.frames += 1
-            return send(*args, **kwargs)
+    def send(self, msg_type, payload):
+        self.frames += 1
+        super().send(msg_type, payload)
 
-        return counted
+    def recv(self):
+        self.frames += 1
+        return super().recv()
+
+
+class ScriptedChannel:
+    """Alice's endpoint: hands her Bob's ``frames`` in turn and keeps what she sends."""
+
+    def __init__(self, *frames):
+        self._frames = list(frames)
+        self.sent = []
+
+    def recv(self):
+        if not self._frames:
+            raise RuntimeError("no pending message on channel")
+        return self._frames.pop(0)
+
+    def send(self, msg_type, payload):
+        self.sent.append((msg_type, payload))
 
 
 class TestCascadeReconcile:
     def test_identical_keys_stay_identical(self):
         rng = np.random.default_rng(0)
         alice = rng.integers(0, 2, 1024, dtype=np.uint8)
-        reconciled, leaked = cascade_reconcile(alice, alice.copy(), 0.03, None, rng)
+        reconciled, leaked = cascade_reconcile(alice, alice.copy(), 0.03, rng)
         assert np.array_equal(reconciled, alice)
         assert leaked > 0  # parities are disclosed even when nothing is wrong
 
@@ -97,14 +112,14 @@ class TestCascadeReconcile:
         alice = rng.integers(0, 2, 1024, dtype=np.uint8)
         bob = alice.copy()
         bob[517] ^= 1
-        reconciled, _ = cascade_reconcile(alice, bob, 0.01, None, rng)
+        reconciled, _ = cascade_reconcile(alice, bob, 0.01, rng)
         assert np.array_equal(reconciled, alice)
 
     def test_bsc_trials_converge(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             alice, bob = bsc_pair(rng, 4096, 0.03)
-            reconciled, _ = cascade_reconcile(alice, bob, 0.03, None, rng)
+            reconciled, _ = cascade_reconcile(alice, bob, 0.03, rng)
             assert np.array_equal(reconciled, alice)
 
     def test_leak_is_near_shannon_limit(self):
@@ -113,7 +128,7 @@ class TestCascadeReconcile:
         fractions = []
         for _ in range(5):
             alice, bob = bsc_pair(rng, n, 0.03)
-            reconciled, leaked = cascade_reconcile(alice, bob, 0.03, None, rng)
+            reconciled, leaked = cascade_reconcile(alice, bob, 0.03, rng)
             assert np.array_equal(reconciled, alice)
             fractions.append(leaked / n)
         h2 = binary_entropy(0.03)
@@ -123,23 +138,16 @@ class TestCascadeReconcile:
         rng = np.random.default_rng(4)
         alice, bob = bsc_pair(rng, 2048, 0.05)
         snapshot = alice.copy()
-        cascade_reconcile(alice, bob, 0.05, None, rng)
+        cascade_reconcile(alice, bob, 0.05, rng)
         assert np.array_equal(alice, snapshot)
-
-    def test_leak_matches_channel_accounting(self):
-        rng = np.random.default_rng(5)
-        alice, bob = bsc_pair(rng, 2048, 0.03)
-        chan = InProcessChannelPair()
-        _, leaked = cascade_reconcile(alice, bob, 0.03, chan, rng)
-        assert leaked == chan.bits_disclosed
 
     def test_frame_budget(self):
         # One frame per binary-search level, not one per parity: a 10k-bit key
         # at 3% errors once took about 4,600 frames.
         rng = np.random.default_rng(13)
         alice, bob = bsc_pair(rng, 10_000, 0.03)
-        chan = CountingChannelPair()
-        reconciled, _ = cascade_reconcile(alice, bob, 0.03, chan, rng)
+        chan = CountingEndpoint(alice)
+        reconciled = reconcile_with_oracle(bob, 0.03, RemoteOracle(chan), rng)
         assert np.array_equal(reconciled, alice)
         assert chan.frames <= 128
 
@@ -148,7 +156,7 @@ class TestCascadeReconcile:
         alice, bob = bsc_pair(np.random.default_rng(15), 62_000, 0.02)
 
         def dialogue(seed):
-            reconciled, _ = cascade_reconcile(alice, bob, 0.02, None, np.random.default_rng(seed))
+            reconciled, _ = cascade_reconcile(alice, bob, 0.02, np.random.default_rng(seed))
             assert np.array_equal(reconciled, alice)
 
         assert retained_bytes(dialogue) < 64_000
@@ -156,19 +164,19 @@ class TestCascadeReconcile:
     def test_length_mismatch(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ProtocolError):
-            cascade_reconcile(np.zeros(100, dtype=np.uint8), np.zeros(99, dtype=np.uint8), 0.03, None, rng)
+            cascade_reconcile(np.zeros(100, np.uint8), np.zeros(99, np.uint8), 0.03, rng)
 
     def test_key_too_short(self):
         rng = np.random.default_rng(7)
         with pytest.raises(ProtocolError):
-            cascade_reconcile(np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 0.03, None, rng)
+            cascade_reconcile(np.zeros(8, dtype=np.uint8), np.zeros(8, dtype=np.uint8), 0.03, rng)
 
     @pytest.mark.parametrize("qber", [0.0, 0.5, 1.0])
     def test_invalid_qber_estimate(self, qber):
         rng = np.random.default_rng(8)
         key = np.zeros(1024, dtype=np.uint8)
         with pytest.raises(ProtocolError):
-            cascade_reconcile(key, key.copy(), qber, None, rng)
+            cascade_reconcile(key, key.copy(), qber, rng)
 
 
 class TestRemoteOracle:
@@ -202,7 +210,7 @@ class TestRemoteOracle:
         n, p = 4096, 0.03
         keys = [bsc_pair(np.random.default_rng(i), n, p) for i in range(2)]
         alone = [
-            cascade_reconcile(*keys[i], p, None, np.random.default_rng(i))[1] for i in range(2)
+            cascade_reconcile(*keys[i], p, np.random.default_rng(i))[1] for i in range(2)
         ]
         results = {}
 
@@ -250,8 +258,7 @@ class TestRemoteOracle:
         make_keys = lambda: bsc_pair(np.random.default_rng(11), n, p)
 
         alice, bob = make_keys()
-        chan = InProcessChannelPair()
-        _, leaked_local = cascade_reconcile(alice, bob, p, chan, np.random.default_rng(12))
+        _, leaked_local = cascade_reconcile(alice, bob, p, np.random.default_rng(12))
 
         alice, bob = make_keys()
         alice_sock, bob_sock = socket.socketpair()
@@ -275,7 +282,7 @@ class LyingVerifier(RemoteOracle):
     """Answers range parities truthfully but every verification parity wrongly."""
 
     def __init__(self, alice: np.ndarray):
-        super().__init__(_InlineAlice(alice, InProcessChannelPair()))
+        super().__init__(ChannelEndpoint(_Alice(alice).answer))
 
     def verify(self, seed: int, count: int) -> np.ndarray:
         return 1 - super().verify(seed, count)
@@ -318,8 +325,8 @@ class TestProtocolErrors:
     def test_verification_cap_raises(self):
         rng = np.random.default_rng(11)
         alice, bob = bsc_pair(rng, 1024, 0.02)
-        with pytest.raises(ProtocolError, match="verification .* in 64 checks"):
-            reconcile_with_oracle(bob, 0.02, LyingVerifier(alice), rng, verify_parities=8)
+        with pytest.raises(ProtocolError, match="verification .* in 512 checks"):
+            reconcile_with_oracle(bob, 0.02, LyingVerifier(alice), rng)
 
     @pytest.mark.parametrize(
         "seq",
@@ -333,53 +340,50 @@ class TestProtocolErrors:
         key = np.random.default_rng(0).integers(0, 2, 64, dtype=np.uint8)
         sub = subsets(7, 64, 2)
         length = [len(key), len(sub[0]), len(sub[1])][seq]
-        pair = InProcessChannelPair()
-        pair.bob.send(MSG_VERIFICATION, struct.pack(">QI", 7, 2))
-        pair.bob.send(MSG_PARITY_REQUEST, records((1, 0, len(sub[0]))))
-        pair.bob.send(MSG_PARITY_REQUEST, records((seq, 0, length + 1)))
+        chan = ScriptedChannel(
+            (MSG_VERIFICATION, struct.pack(">QI", 7, 2)),
+            (MSG_PARITY_REQUEST, records((1, 0, len(sub[0])))),
+            (MSG_PARITY_REQUEST, records((seq, 0, length + 1))),
+        )
         with pytest.raises(ProtocolError, match="past the end"):
-            serve_parity_queries(key, pair.alice)
-        pair.bob.recv()
-        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, bytes([key[sub[0]].sum() % 2 << 7]))
-        with pytest.raises(RuntimeError, match="no pending message"):
-            pair.bob.recv()
+            serve_parity_queries(key, chan)
+        assert len(chan.sent) == 2
+        assert chan.sent[1] == (MSG_PARITY_RESPONSE, bytes([key[sub[0]].sum() % 2 << 7]))
 
     def test_alice_answers_ranges_over_unexpanded_subsets(self):
         key = np.random.default_rng(0).integers(0, 2, 64, dtype=np.uint8)
         sub = subsets(7, 64, 2)
         ranges = [(2, 0, len(sub[1])), (1, 1, len(sub[0])), (0, 3, 50), (2, 2, 5)]
-        pair = InProcessChannelPair()
-        pair.bob.send(MSG_VERIFICATION, struct.pack(">QI", 7, 2))
-        pair.bob.send(MSG_PARITY_REQUEST, records(*ranges))
-        pair.bob.send(MSG_VERIFICATION, b"")
-        serve_parity_queries(key, pair.alice)
+        chan = ScriptedChannel(
+            (MSG_VERIFICATION, struct.pack(">QI", 7, 2)),
+            (MSG_PARITY_REQUEST, records(*ranges)),
+            (MSG_VERIFICATION, b""),
+        )
+        serve_parity_queries(key, chan)
         order = [np.arange(64), *sub]
         expected = [key[order[s][a:b]].sum() % 2 for s, a, b in ranges]
-        assert pair.bob.recv() == (
-            MSG_PARITY_RESPONSE,
-            np.packbits([key[p].sum() % 2 for p in sub]).tobytes(),
-        )
-        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, np.packbits(expected).tobytes())
+        assert chan.sent == [
+            (MSG_PARITY_RESPONSE, np.packbits([key[p].sum() % 2 for p in sub]).tobytes()),
+            (MSG_PARITY_RESPONSE, np.packbits(expected).tobytes()),
+        ]
 
     def test_no_expansion_outlives_a_dialogue_that_raises(self):
         alice, bob = bsc_pair(np.random.default_rng(16), 62_000, 0.02)
 
         def dialogue(seed):
             with pytest.raises(ProtocolError, match="verification"):
-                reconcile_with_oracle(
-                    bob, 0.02, LyingVerifier(alice), np.random.default_rng(seed), verify_parities=8
-                )
+                reconcile_with_oracle(bob, 0.02, LyingVerifier(alice), np.random.default_rng(seed))
 
         assert retained_bytes(dialogue) < 64_000
 
     def test_alice_rejects_unexpected_frame(self):
-        pair = InProcessChannelPair()
-        pair.bob.send(MSG_PARITY_REQUEST, records((0, 0, 2)))
-        pair.bob.send(MSG_PARITY_RESPONSE, bytes([1]))
+        chan = ScriptedChannel(
+            (MSG_PARITY_REQUEST, records((0, 0, 2))), (MSG_PARITY_RESPONSE, bytes([1]))
+        )
         with pytest.raises(ProtocolError):
-            serve_parity_queries(np.zeros(8, dtype=np.uint8), pair.alice)
+            serve_parity_queries(np.zeros(8, dtype=np.uint8), chan)
         # The valid request before the bad frame was answered.
-        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, bytes([0]))
+        assert chan.sent == [(MSG_PARITY_RESPONSE, bytes([0]))]
 
     @pytest.mark.parametrize(
         "leading, msg_type, payload",
@@ -417,20 +421,14 @@ class TestProtocolErrors:
     def test_alice_rejects_malformed_frame(self, leading, msg_type, payload):
         # Only sequence 0 exists, over an 8-bit key, and the permutations that
         # leading PERMUTATION_SEED frames add; Alice raises without answering.
-        pair = InProcessChannelPair()
-        for frame in leading:
-            pair.bob.send(*frame)
-        pair.bob.send(msg_type, payload)
+        chan = ScriptedChannel(*leading, (msg_type, payload))
         with pytest.raises(ProtocolError):
-            serve_parity_queries(np.zeros(8, dtype=np.uint8), pair.alice)
-        assert pair.bits_disclosed == 0
-        with pytest.raises(RuntimeError, match="no pending message"):
-            pair.bob.recv()
+            serve_parity_queries(np.zeros(8, dtype=np.uint8), chan)
+        assert chan.sent == []
 
     def test_oracle_rejects_non_response_frame(self):
-        pair = InProcessChannelPair()
-        pair.alice.send(MSG_PERMUTATION_SEED, bytes(8))
-        oracle = RemoteOracle(pair.bob)
+        # Alice's end answers a parity request with a permutation seed.
+        oracle = RemoteOracle(ChannelEndpoint(lambda *frame: (MSG_PERMUTATION_SEED, bytes(8))))
         with pytest.raises(ProtocolError):
             oracle.parities(np.array([0]), np.array([0]), np.array([4]))
         assert oracle.bits_disclosed == 0

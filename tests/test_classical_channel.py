@@ -7,11 +7,10 @@ from aqua_qkd.bb84.classical_channel import (
     MSG_PARITY_RESPONSE,
     MSG_PERMUTATION_SEED,
     MSG_VERIFICATION,
+    ChannelEndpoint,
     FrameDecoder,
     FramedStreamChannel,
     FramingError,
-    InProcessChannelPair,
-    LeakAccountant,
     encode_frame,
 )
 
@@ -63,40 +62,35 @@ class TestFraming:
             FrameDecoder().feed(b"\x00\x00\x00\x00")
 
 
-class TestLeakAccountant:
-    def test_counts_accumulate(self):
-        acct = LeakAccountant()
-        acct.add(3)
-        acct.add(2)
-        assert acct.bits == 5
+class TestChannelEndpoint:
+    def test_peer_reply_is_delivered(self):
+        heard = []
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LeakAccountant().add(-1)
+        def peer(msg_type, payload):
+            heard.append((msg_type, payload))
+            return MSG_PARITY_RESPONSE, payload[::-1]
 
+        end = ChannelEndpoint(peer)
+        end.send(MSG_PARITY_REQUEST, b"\x01\x02")
+        assert heard == [(MSG_PARITY_REQUEST, b"\x01\x02")]
+        assert end.recv() == (MSG_PARITY_RESPONSE, b"\x02\x01")
 
-class TestInProcessChannelPair:
-    def test_bidirectional_delivery(self):
-        pair = InProcessChannelPair()
-        pair.alice.send(MSG_PARITY_RESPONSE, b"\x01")
-        pair.bob.send(MSG_PARITY_REQUEST, b"\x02")
-        assert pair.bob.recv() == (MSG_PARITY_RESPONSE, b"\x01")
-        assert pair.alice.recv() == (MSG_PARITY_REQUEST, b"\x02")
-
-    def test_disclosed_bits_shared(self):
-        pair = InProcessChannelPair()
-        pair.alice.send(MSG_PARITY_RESPONSE, b"\x01", disclosed_bits=1)
-        pair.alice.send(MSG_PARITY_RESPONSE, b"\x00", disclosed_bits=1)
-        assert pair.bits_disclosed == 2
-        assert pair.bob.bits_disclosed == 2
+    def test_no_reply_queues_nothing(self):
+        end = ChannelEndpoint(lambda msg_type, payload: None)
+        end.send(MSG_PERMUTATION_SEED, bytes(8))
+        with pytest.raises(RuntimeError, match="no pending message"):
+            end.recv()
 
     def test_recv_on_empty_channel(self):
         with pytest.raises(RuntimeError):
-            InProcessChannelPair().alice.recv()
+            ChannelEndpoint(lambda msg_type, payload: None).recv()
 
     def test_send_rejects_unknown_type(self):
+        def peer(msg_type, payload):
+            raise AssertionError("an unknown type reached the peer")
+
         with pytest.raises(FramingError):
-            InProcessChannelPair().alice.send(0x42, b"")
+            ChannelEndpoint(peer).send(0x42, b"")
 
 
 class TestFramedStreamChannel:
@@ -107,9 +101,8 @@ class TestFramedStreamChannel:
             right = FramedStreamChannel(right_sock)
             left.send(MSG_PARITY_REQUEST, b"\x00\x01\x02")
             assert right.recv() == (MSG_PARITY_REQUEST, b"\x00\x01\x02")
-            right.send(MSG_PARITY_RESPONSE, b"\x01", disclosed_bits=1)
+            right.send(MSG_PARITY_RESPONSE, b"\x01")
             assert left.recv() == (MSG_PARITY_RESPONSE, b"\x01")
-            assert right.bits_disclosed == 1
         finally:
             left_sock.close()
             right_sock.close()

@@ -111,6 +111,10 @@ class TestExitCodes:
                 "session": {"channel_mueller": np.diag([1, -1.5, 0.2, 1]).tolist()},
             },
             {"scenario": "bb84-run", "session": {"channel_mueller": (2 * np.eye(4)).tolist()}},
+            {
+                "scenario": "bb84-run",
+                "session": {"n_pulses": 400_000, "qber_estimation_fraction": 1.0},
+            },
             dict(MC_DOC, n_photons=0),
             dict(MC_DOC, n_photons=2.7),
             dict(MC_DOC, n_workers=0),
@@ -138,6 +142,7 @@ class TestExitCodes:
             "bb84-overpolarizing-mueller",
             "bb84-nonphysical-mueller",
             "bb84-amplifying-mueller",
+            "bb84-estimation-fraction-of-one",
             "mc-zero-photons",
             "mc-fractional-photons",
             "mc-zero-workers",

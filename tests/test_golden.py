@@ -176,14 +176,14 @@ def test_narrow_lateral_bound_is_pinned():
 
 
 # A calibrated session of 4.2M pulses: its keys at every stage and its stats.
-MULTI_CHUNK_SESSION = SessionConfig(**dict(CALIBRATED_SESSION, n_pulses=4_200_000, seed=1))
-MULTI_CHUNK_SHA256 = "6400166c39054de3746b793a3aa477da42ea1f43c4ba7fa6662c18195b62a7d2"
+LONG_SESSION = SessionConfig(**dict(CALIBRATED_SESSION, n_pulses=4_200_000, seed=1))
+LONG_SESSION_SHA256 = "6400166c39054de3746b793a3aa477da42ea1f43c4ba7fa6662c18195b62a7d2"
 
 
-def test_multi_chunk_session_is_pinned():
-    stats, material = run_session(MULTI_CHUNK_SESSION)
+def test_long_session_is_pinned():
+    stats, material = run_session(LONG_SESSION)
     h = hashlib.sha256()
     for key in (material.sifted_alice, material.sifted_bob, material.reconciled, material.secret):
         h.update(np.ascontiguousarray(key).tobytes())
     h.update(json.dumps(stats.to_dict()).encode())
-    assert h.hexdigest() == MULTI_CHUNK_SHA256
+    assert h.hexdigest() == LONG_SESSION_SHA256
