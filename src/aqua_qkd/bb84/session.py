@@ -43,12 +43,10 @@ class InsufficientKeyError(RuntimeError):
 class SessionConfig:
     """Source, channel, receiver and post-processing parameters of one session.
 
-    ``sifting_factor`` enters only the analytic :func:`sifted_key_rate`; the
-    simulated sifting is Bob's random basis choice, which matches Alice's
-    with probability 1/2.  ``channel_mueller`` must send every BB84 state to
-    a physical output (see :func:`~aqua_qkd.characterization.arm0_probabilities`)
-    and be passive: each state's output intensity s0, at most 1, scales its
-    mean photon number, and ``channel_transmission`` applies on top.
+    ``channel_mueller`` must send every BB84 state to a physical output (see
+    :func:`~aqua_qkd.characterization.arm0_probabilities`) and be passive:
+    each state's output intensity s0, at most 1, scales its mean photon
+    number, and ``channel_transmission`` applies on top.
     ``seed`` must be an integer in [0, 2^64), as everywhere in the package.
     """
 
@@ -60,7 +58,6 @@ class SessionConfig:
     dark_count_prob: float = 0.0
     background_prob: float = 0.0
     intrinsic_error: float = 0.0
-    sifting_factor: float = 0.5
     n_pulses: int = 1_000_000
     extraction_ratio: float = 0.11
     qber_estimation_fraction: float = 0.0
@@ -92,8 +89,6 @@ class SessionConfig:
             raise ValueError("dark_count_prob + background_prob must not exceed 1")
         if not 0.0 <= self.intrinsic_error <= 0.5:
             raise ValueError("intrinsic_error must lie in [0, 0.5]")
-        if self.sifting_factor <= 0:
-            raise ValueError("sifting_factor must be positive")
         check_seed(self.seed)
         _, s0 = arm0_probabilities(self.channel_mueller)
         if s0.max() > 1.0 + PHYSICALITY_TOL:
@@ -133,13 +128,14 @@ def compute_qber(sifted_alice, sifted_bob) -> float:
     return float(np.mean(a != b))
 
 
-def sifted_key_rate(cfg: SessionConfig) -> float:
-    """Analytic sifted-key rate: f * mu * T * q * eta / 2."""
+def sifted_key_rate(cfg: SessionConfig, sifting_factor: float = 0.5) -> float:
+    """Analytic sifted-key rate f * mu * T * q * eta / 2, where q is the
+    probability that the bases match; Bob's simulated choice is fair, q = 1/2."""
     return (
         cfg.pulse_rate
         * cfg.mean_photon_number
         * cfg.channel_transmission
-        * cfg.sifting_factor
+        * sifting_factor
         * cfg.detector_efficiency
         / 2.0
     )
@@ -280,6 +276,12 @@ def run_session(cfg: SessionConfig) -> tuple[SessionStats, KeyMaterial]:
         qber_est, cascade_alice, cascade_bob, leak_from_estimation = estimate_qber_disclosed(
             sifted_alice, sifted_bob, cfg.qber_estimation_fraction, rng
         )
+        if len(cascade_alice) < MIN_SIFTED_BITS:
+            raise InsufficientKeyError(
+                f"key of {len(cascade_alice)} bits left after the QBER estimate is below "
+                f"the {MIN_SIFTED_BITS}-bit minimum",
+                replace(stats, leaked_bits=leak_from_estimation),
+            )
     else:
         qber_est = stats.qber
     qber_est = min(0.49, max(qber_est, 1.0 / len(cascade_alice)))

@@ -6,9 +6,10 @@ P1.  The recorded intensity is linear in the 16 channel-matrix elements, so
 the full {0, pi/8, pi/4, 3pi/8}^2 angle grid yields a well-conditioned 16x16
 linear system solved by least squares.
 
-The module also owns the four BB84 states and their Malus projection through
-a channel matrix onto Bob's two analyzer arms, which both the session's
-detection and :func:`qber_from_mueller` read.
+The module also owns the four BB84 states and :func:`arm0_probabilities`,
+their Malus projection through a channel onto Bob's two analyzer arms: the
+one place where a channel meets them.  The session's detection,
+:func:`qber_from_mueller` and :func:`channel_fidelity_report` all read it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .polarization import (
     PHYSICALITY_TOL,
     MuellerMatrix,
     PhysicalityError,
-    StokesVector,
     polarizer_mueller,
     quarter_waveplate,
-    state_fidelity,
 )
 
 MEASUREMENT_ANGLES = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8)
@@ -36,15 +35,13 @@ CONDITION_LIMIT = 1e8
 BASIS_RECTILINEAR = 0
 BASIS_DIAGONAL = 1
 
-# (basis, bit) -> Stokes vector of the prepared BB84 state.  Bob's arm 0
-# analyzes bit 0's state of his basis (H or +45), arm 1 the orthogonal one.
-STATE_MAP = {
-    (BASIS_RECTILINEAR, 0): StokesVector(1, 1, 0, 0),
-    (BASIS_RECTILINEAR, 1): StokesVector(1, -1, 0, 0),
-    (BASIS_DIAGONAL, 0): StokesVector(1, 0, 1, 0),
-    (BASIS_DIAGONAL, 1): StokesVector(1, 0, -1, 0),
-}
-_STATE_NAMES = ("H", "V", "+45", "-45")
+# (basis, bit) -> read-only Stokes vector of the prepared BB84 state: H, V,
+# +45 and -45.  Bob's arm 0 analyzes bit 0's state of his basis (H or +45),
+# arm 1 the orthogonal one.
+_STOKES = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]], dtype=float)
+_STOKES.flags.writeable = False
+STATE_MAP = {(basis, bit): _STOKES[2 * basis + bit] for basis in (0, 1) for bit in (0, 1)}
+_STATE_NAMES = dict(zip(STATE_MAP, ("H", "V", "+45", "-45")))
 
 
 class IllConditionedError(ValueError):
@@ -105,26 +102,6 @@ def _design_row(theta1: float, theta2: float) -> np.ndarray:
     return np.outer(_analyzer_row(theta2), _source_column(theta1)).ravel()
 
 
-def _solve_mueller(design: np.ndarray, rhs: np.ndarray, what: str) -> ChannelMuellerEstimate:
-    # Least squares for the 16 row-major channel elements, normalized to m00 = 1.
-    cond = float(np.linalg.cond(design))
-    if cond > CONDITION_LIMIT:
-        raise IllConditionedError(
-            f"{what} does not determine the matrix "
-            f"(condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e})"
-        )
-    sol, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    residual = float(np.linalg.norm(design @ sol - rhs))
-    matrix = sol.reshape(4, 4)
-    if matrix[0, 0] == 0:
-        raise ValueError("recovered matrix has zero total-intensity element")
-    return ChannelMuellerEstimate(
-        matrix=MuellerMatrix(matrix / matrix[0, 0]),
-        condition_number=cond,
-        residual_norm=residual,
-    )
-
-
 def estimate_mueller(measurements) -> ChannelMuellerEstimate:
     """Least-squares recovery of the channel Mueller matrix.
 
@@ -136,22 +113,23 @@ def estimate_mueller(measurements) -> ChannelMuellerEstimate:
         raise ValueError(f"need 16 measurements, got {len(measurements)}")
     design = np.array([_design_row(m.theta1, m.theta2) for m in measurements])
     intensities = np.array([m.intensity for m in measurements])
-    return _solve_mueller(design, intensities, "the angle set")
-
-
-def estimate_mueller_from_stokes(pairs) -> ChannelMuellerEstimate:
-    """Same linear solve fed by four (S_in, S_out) Stokes pairs.
-
-    Covers the direct-readout procedure where a polarization meter records
-    full output Stokes vectors: 4 vectors x 4 components give 16 equations.
-    """
-    pairs = list(pairs)
-    if len(pairs) != 4:
-        raise ValueError(f"need 4 Stokes pairs, got {len(pairs)}")
-    # Output component k of a pair reads row k of the matrix against S_in.
-    design = np.vstack([np.kron(np.eye(4), s_in.as_array()) for s_in, _ in pairs])
-    rhs = np.concatenate([s_out.as_array() for _, s_out in pairs])
-    return _solve_mueller(design, rhs, "the Stokes input set")
+    cond = float(np.linalg.cond(design))
+    if cond > CONDITION_LIMIT:
+        raise IllConditionedError(
+            "the angle set does not determine the matrix "
+            f"(condition number {cond:.3g} exceeds {CONDITION_LIMIT:.0e})"
+        )
+    # Least squares for the 16 row-major channel elements, normalized to m00 = 1.
+    sol, _, _, _ = np.linalg.lstsq(design, intensities, rcond=None)
+    residual = float(np.linalg.norm(design @ sol - intensities))
+    matrix = sol.reshape(4, 4)
+    if matrix[0, 0] == 0:
+        raise ValueError("recovered matrix has zero total-intensity element")
+    return ChannelMuellerEstimate(
+        matrix=MuellerMatrix(matrix / matrix[0, 0]),
+        condition_number=cond,
+        residual_norm=residual,
+    )
 
 
 def arm0_probabilities(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +146,11 @@ def arm0_probabilities(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
     table = np.empty((2, 2, 2))
     s0 = np.empty((2, 2))
     for (basis, bit), state in STATE_MAP.items():
-        out = m_w.m @ state.as_array()
+        out = m_w.m @ state
         if out[0] <= 0:
-            raise PhysicalityError(f"channel extinguishes the {state} signal state")
+            raise PhysicalityError(
+                f"channel extinguishes the {_STATE_NAMES[basis, bit]} signal state"
+            )
         s0[basis, bit] = out[0]
         table[basis, bit] = 0.5 * (1.0 + out[1:3] / out[0])
     if not np.all(np.abs(table - 0.5) <= 0.5 + PHYSICALITY_TOL):
@@ -181,12 +161,19 @@ def arm0_probabilities(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
     return table, s0
 
 
+def _wrong_arm(m_w: MuellerMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Each BB84 state's wrong-arm probability in Bob's matching basis, and
+    its output intensity s0, in ``STATE_MAP`` order."""
+    p0, s0 = arm0_probabilities(m_w)
+    wrong = [p0[b, bit, b] if bit else 1.0 - p0[b, bit, b] for b, bit in STATE_MAP]
+    return np.array(wrong), s0.ravel()
+
+
 def qber_from_mueller(m_w: MuellerMatrix) -> float:
     """Wrong-arm probability in Bob's matching basis, each BB84 state weighted
     by its output intensity s0 as the session's weak-pulse detection weights it."""
-    p0, s0 = arm0_probabilities(m_w)
-    wrong = [p0[b, bit, b] if bit else 1.0 - p0[b, bit, b] for b, bit in STATE_MAP]
-    return float(np.average(wrong, weights=[s0[state] for state in STATE_MAP]))
+    wrong, s0 = _wrong_arm(m_w)
+    return float(np.average(wrong, weights=s0))
 
 
 @dataclass(frozen=True)
@@ -196,11 +183,11 @@ class FidelityReport:
 
 
 def channel_fidelity_report(m_w: MuellerMatrix) -> FidelityReport:
-    """Fidelity between each BB84 input state and its (normalized) output."""
-    per_state = {
-        name: state_fidelity(s_in, m_w.apply(s_in))
-        for name, s_in in zip(_STATE_NAMES, STATE_MAP.values())
-    }
+    """Fidelity between each BB84 input state and its (normalized) output: for
+    a pure input, the Jozsa fidelity (1 + a.b) / 2 of Bloch vectors a and b is
+    the output's right-arm probability in Bob's matching basis."""
+    wrong, _ = _wrong_arm(m_w)
+    per_state = {name: float(1.0 - w) for name, w in zip(_STATE_NAMES.values(), wrong)}
     return FidelityReport(per_state=per_state, mean=float(np.mean(list(per_state.values()))))
 
 

@@ -45,7 +45,6 @@ CALIBRATED_SESSION = {
     "dark_count_prob": 1.5e-5,
     "background_prob": 2.6e-5,
     "intrinsic_error": 0.0107,
-    "sifting_factor": 0.5,
     "extraction_ratio": 0.11,
     "n_pulses": 1_000_000,
 }

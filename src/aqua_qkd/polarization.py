@@ -1,9 +1,11 @@
-"""Stokes-vector and Mueller-matrix algebra for the optical train.
+"""Mueller-matrix algebra for the optical train.
 
-Conventions: angles are measured from horizontal, positive counterclockwise
-looking toward the source; a physical rotation by phi rotates the (s1, s2)
-Stokes components by 2*phi.  The retarder matrix preserves intensity (no
-global scalar prefactor), which keeps waveplates lossless.
+A Stokes vector is a plain ``(4,)`` float array ``[s0, s1, s2, s3]``, and a
+Mueller matrix acts on it as ``m.m @ s``.  Conventions: angles are measured
+from horizontal, positive counterclockwise looking toward the source; a
+physical rotation by phi rotates the (s1, s2) Stokes components by 2*phi.
+The retarder matrix preserves intensity (no global scalar prefactor), which
+keeps waveplates lossless.
 """
 
 from __future__ import annotations
@@ -17,47 +19,7 @@ PHYSICALITY_TOL = 1e-9
 
 
 class PhysicalityError(ValueError):
-    """Raised when a Stokes vector or Mueller matrix violates physicality."""
-
-
-@dataclass(frozen=True)
-class StokesVector:
-    """Polarization state: intensity s0 and polarization components s1..s3."""
-
-    s0: float
-    s1: float
-    s2: float
-    s3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s0, self.s1, self.s2, self.s3], dtype=float)
-
-    @staticmethod
-    def from_array(a) -> "StokesVector":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"Stokes vector needs 4 components, got shape {a.shape}")
-        return StokesVector(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @property
-    def polarized_magnitude(self) -> float:
-        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
-
-    def is_physical(self, tol: float = PHYSICALITY_TOL) -> bool:
-        if self.s0 < -tol:
-            return False
-        scale = max(self.s0, 1.0)
-        return self.polarized_magnitude**2 <= self.s0**2 + tol * scale**2
-
-    def require_physical(self, tol: float = PHYSICALITY_TOL) -> None:
-        if not self.is_physical(tol):
-            raise PhysicalityError(f"non-physical Stokes vector {self}")
-
-    def normalized(self) -> "StokesVector":
-        """Scale to unit intensity; requires s0 > 0."""
-        if self.s0 <= 0:
-            raise PhysicalityError("cannot normalize a Stokes vector with s0 <= 0")
-        return StokesVector(1.0, self.s1 / self.s0, self.s2 / self.s0, self.s3 / self.s0)
+    """Raised when a channel matrix is not physical for the states it carries."""
 
 
 @dataclass(frozen=True)
@@ -80,9 +42,6 @@ class MuellerMatrix:
 
     def __matmul__(self, other: "MuellerMatrix") -> "MuellerMatrix":
         return MuellerMatrix(self.m @ other.m)
-
-    def apply(self, s: StokesVector) -> StokesVector:
-        return StokesVector.from_array(self.m @ s.as_array())
 
 
 @dataclass(frozen=True)
@@ -154,27 +113,3 @@ def waveplate_mueller(spec: WaveplateSpec) -> MuellerMatrix:
 
 def quarter_waveplate(theta: float) -> MuellerMatrix:
     return waveplate_mueller(WaveplateSpec(theta=theta, delta=math.pi / 2))
-
-
-def _bloch(s: StokesVector) -> np.ndarray:
-    s.require_physical()
-    n = s.normalized()
-    v = np.array([n.s1, n.s2, n.s3])
-    mag = np.linalg.norm(v)
-    if mag > 1.0:  # inside tolerance by the physicality check; clip the residue
-        v = v / mag
-    return v
-
-
-def state_fidelity(sa: StokesVector, sb: StokesVector) -> float:
-    """Jozsa fidelity between the qubit density matrices of two states.
-
-    Each vector is normalized to unit intensity and mapped to
-    rho = (I + bloch . sigma) / 2; for Bloch vectors a, b the fidelity is
-    (1 + a.b + sqrt((1-|a|^2)(1-|b|^2))) / 2.
-    """
-    a = _bloch(sa)
-    b = _bloch(sb)
-    cross = max(0.0, (1.0 - float(a @ a)) * (1.0 - float(b @ b)))
-    f = 0.5 * (1.0 + float(a @ b) + math.sqrt(cross))
-    return min(1.0, max(0.0, f))

@@ -191,10 +191,9 @@ def test_criterion_05_qber_and_rate_formulas():
             pulse_rate=f,
             mean_photon_number=mu,
             channel_transmission=t,
-            sifting_factor=q,
             detector_efficiency=eta,
         )
-        ok &= sifted_key_rate(cfg) == f * mu * t * q * eta / 2
+        ok &= sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta / 2
     ok = report(5, "error-rate and sifted-rate formulas", bool(ok))
     assert ok
 

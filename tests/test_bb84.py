@@ -22,8 +22,8 @@ from aqua_qkd.experiments import CALIBRATED_SESSION
 from aqua_qkd.polarization import (
     MuellerMatrix,
     PhysicalityError,
-    StokesVector,
     WaveplateSpec,
+    polarizer_mueller,
     rotation_mueller,
     waveplate_mueller,
 )
@@ -51,15 +51,21 @@ def quiet_config(**overrides) -> SessionConfig:
 
 class TestStateMap:
     def test_four_states(self):
-        assert STATE_MAP[(BASIS_RECTILINEAR, 0)] == StokesVector(1, 1, 0, 0)
-        assert STATE_MAP[(BASIS_RECTILINEAR, 1)] == StokesVector(1, -1, 0, 0)
-        assert STATE_MAP[(BASIS_DIAGONAL, 0)] == StokesVector(1, 0, 1, 0)
-        assert STATE_MAP[(BASIS_DIAGONAL, 1)] == StokesVector(1, 0, -1, 0)
+        assert np.array_equal(STATE_MAP[(BASIS_RECTILINEAR, 0)], [1, 1, 0, 0])
+        assert np.array_equal(STATE_MAP[(BASIS_RECTILINEAR, 1)], [1, -1, 0, 0])
+        assert np.array_equal(STATE_MAP[(BASIS_DIAGONAL, 0)], [1, 0, 1, 0])
+        assert np.array_equal(STATE_MAP[(BASIS_DIAGONAL, 1)], [1, 0, -1, 0])
+
+    def test_states_are_read_only_float_vectors(self):
+        for state in STATE_MAP.values():
+            assert state.dtype == np.float64 and state.shape == (4,)
+            with pytest.raises(ValueError):
+                state[1] = 0.0
 
     def test_states_within_a_basis_are_orthogonal(self):
         for basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
-            a = STATE_MAP[(basis, 0)].as_array()
-            b = STATE_MAP[(basis, 1)].as_array()
+            a = STATE_MAP[(basis, 0)]
+            b = STATE_MAP[(basis, 1)]
             assert np.dot(a[1:], b[1:]) == -1.0
 
 
@@ -303,7 +309,7 @@ class TestDetectionLaw:
             """[basis, bit, bob_basis] -> (detected, Bob's bit differs)."""
             out = {}
             for (basis, bit), state in STATE_MAP.items():
-                s = diattenuator.m @ state.as_array()
+                s = diattenuator.m @ state
                 for bob_basis in (BASIS_RECTILINEAR, BASIS_DIAGONAL):
                     p0 = (1.0 + s[1 + bob_basis] / s[0]) / 2.0 * (1.0 - 2.0 * e) + e
                     arm0, arm1 = (
@@ -377,10 +383,9 @@ class TestQberAndRate:
                 pulse_rate=f,
                 mean_photon_number=mu,
                 channel_transmission=t,
-                sifting_factor=q,
                 detector_efficiency=eta,
             )
-            assert sifted_key_rate(cfg) == f * mu * t * q * eta / 2
+            assert sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta / 2
 
     def test_sifted_rate_linear_in_transmission(self):
         lo = quiet_config(channel_transmission=0.25)
@@ -417,6 +422,13 @@ class TestSessionConfig:
         # Arm-0 probabilities 2 and -0.25, and an extinguished state.
         with pytest.raises(PhysicalityError):
             quiet_config(channel_mueller=MuellerMatrix(np.diag(diag)))
+
+    @pytest.mark.parametrize(
+        "axis, state", [(math.pi / 2, "H"), (0.0, "V")], ids=["vertical", "horizontal"]
+    )
+    def test_extinguished_state_is_named(self, axis, state):
+        with pytest.raises(PhysicalityError, match=f"extinguishes the {state} signal state"):
+            quiet_config(channel_mueller=polarizer_mueller(axis))
 
     def test_rejects_amplifying_channel(self):
         # A gain, and a diattenuator normalized to m00 = 1, which passes H
@@ -505,6 +517,16 @@ class TestRunSession:
             run_session(cfg)
         stats = excinfo.value.stats
         assert stats.sifted_bits < MIN_SIFTED_BITS
+        assert stats.secure_rate == 0.0
+
+    def test_no_key_left_after_estimation_raises_with_stats(self):
+        # About 385 sifted bits, nearly all disclosed by the estimate.
+        cfg = quiet_config(n_pulses=100_000, qber_estimation_fraction=0.9999, seed=5)
+        with pytest.raises(InsufficientKeyError, match="left after the QBER estimate") as excinfo:
+            run_session(cfg)
+        stats = excinfo.value.stats
+        assert stats.sifted_bits >= MIN_SIFTED_BITS
+        assert 0 < stats.leaked_bits <= stats.sifted_bits
         assert stats.secure_rate == 0.0
 
     def test_depolarizing_channel_raises_qber(self):

@@ -115,6 +115,7 @@ class TestExitCodes:
                 "scenario": "bb84-run",
                 "session": {"n_pulses": 400_000, "qber_estimation_fraction": 1.0},
             },
+            {"scenario": "bb84-run", "session": {"sifting_factor": 0.5}},
             dict(MC_DOC, n_photons=0),
             dict(MC_DOC, n_photons=2.7),
             dict(MC_DOC, n_workers=0),
@@ -143,6 +144,7 @@ class TestExitCodes:
             "bb84-nonphysical-mueller",
             "bb84-amplifying-mueller",
             "bb84-estimation-fraction-of-one",
+            "bb84-sifting-factor",
             "mc-zero-photons",
             "mc-fractional-photons",
             "mc-zero-workers",
@@ -199,6 +201,22 @@ class TestExitCodes:
         # Far too few pulses to build a minimum-length sifted key.
         doc = {"scenario": "bb84-run", "session": {"n_pulses": 5_000}}
         assert main(["bb84-run", "--config", write_config(tmp_path, "c.json", doc)]) == EXIT_RUNTIME
+
+    def test_no_key_left_after_estimation_exits_runtime(self, tmp_path, capsys):
+        doc = {
+            "scenario": "bb84-run",
+            "session": {"n_pulses": 100_000, "qber_estimation_fraction": 0.9999},
+        }
+        assert main(["bb84-run", "--config", write_config(tmp_path, "c.json", doc)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "left after the QBER estimate" in err
+        assert "division" not in err
+
+    def test_extinguished_state_is_named(self, tmp_path, capsys):
+        vertical_polarizer = [[0.5, -0.5, 0, 0], [-0.5, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        doc = {"scenario": "bb84-run", "session": {"channel_mueller": vertical_polarizer}}
+        assert main(["bb84-run", "--config", write_config(tmp_path, "c.json", doc)]) == EXIT_CONFIG
+        assert "extinguishes the H signal state" in capsys.readouterr().err
 
     def test_photons_left_at_the_event_cap_exit_runtime(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(transport, "_MAX_EVENTS", 1)
