@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import socket
 import struct
@@ -83,6 +84,29 @@ class CountingEndpoint(ChannelEndpoint):
         return super().recv()
 
 
+class TranscriptEndpoint(ChannelEndpoint):
+    """Bob's in-process endpoint to Alice; hashes the frames of both directions."""
+
+    def __init__(self, alice_key, digest):
+        super().__init__(_Alice(alice_key).answer)
+        self.digest = digest
+        self.requests = []
+
+    def _record(self, msg_type, payload):
+        self.digest.update(struct.pack(">BI", msg_type, len(payload)) + bytes(payload))
+
+    def send(self, msg_type, payload):
+        self._record(msg_type, payload)
+        if msg_type == MSG_PARITY_REQUEST:
+            self.requests.append(np.frombuffer(payload, dtype=">u4").reshape(-1, 3))
+        super().send(msg_type, payload)
+
+    def recv(self):
+        frame = super().recv()
+        self._record(*frame)
+        return frame
+
+
 class ScriptedChannel:
     """Alice's endpoint: hands her Bob's ``frames`` in turn and keeps what she sends."""
 
@@ -150,6 +174,32 @@ class TestCascadeReconcile:
         reconciled = reconcile_with_oracle(bob, 0.03, RemoteOracle(chan), rng)
         assert np.array_equal(reconciled, alice)
         assert chan.frames <= 128
+
+    def test_transcript_is_pinned(self):
+        # One SHA-256 over every frame of both directions, each corrected key,
+        # each leak and the generator state after each dialogue: a faster
+        # dialogue must still be the same dialogue, bit for bit.
+        rng = np.random.default_rng(4)
+        cases = [(3_000, 0.027), (12_000, 0.015), (10_000, 0.03), (62_000, 0.016)]
+        cases += [(int(rng.integers(16, 601)), float(rng.uniform(0.05, 0.3))) for _ in range(100)]
+        digest = hashlib.sha256()
+        mixed = subset_ranges = 0
+        for n, p in cases:
+            alice, bob = bsc_pair(rng, n, p)
+            chan = TranscriptEndpoint(alice, digest)
+            oracle = RemoteOracle(chan)
+            reconciled = reconcile_with_oracle(bob, p, oracle, rng)
+            assert np.array_equal(reconciled, alice)
+            digest.update(reconciled.tobytes() + struct.pack(">Q", oracle.bits_disclosed))
+            digest.update(repr(rng.bit_generator.state).encode())
+            # Frames after the top one that search more than one sequence,
+            # and ranges over a verification subset (sequence 4 on).
+            mixed += any(np.ptp(r[:, 0]) > 0 for r in chan.requests[1:])
+            subset_ranges += any(r[:, 0].max() >= 4 for r in chan.requests)
+        assert mixed and subset_ranges
+        assert digest.hexdigest() == (
+            "6721bad35530ffc501ea344313808998f67b46986f190f0d70f61b43a2f64f30"
+        )
 
     def test_no_expansion_outlives_its_dialogue(self):
         # Three permutations of a 62k-bit key are 1.5 MB; none may stay cached.
