@@ -7,9 +7,11 @@ binary-searches every mismatched block at once, one frame per halving level
 (the level-parallel search of Martinez-Mateo et al., QIC 15, 2015).  Every
 position such a wave finds is a true error: Bob flips each once, then
 searches, as the next wave, the blocks of every pass so far that the flips
-left mismatched.  A final verification stage compares random subset
-parities, up to ``MAX_SUBSETS`` per frame, until a run of
-``VERIFY_PARITIES`` matches.
+left mismatched.  He numbers the blocks of all passes once, in the order of
+that first frame, and keeps one flag per block for a parity that differs,
+so a wave's flips and the next wave's blocks are one count and one scan.
+A final verification stage compares random subset parities, up to
+``MAX_SUBSETS`` per frame, until a run of ``VERIFY_PARITIES`` matches.
 
 Both sides number the *sequences* of key positions they can derive alike:
 sequence 0 is the key in order, each PERMUTATION_SEED frame (``>Q`` seed)
@@ -57,6 +59,7 @@ MAX_SUBSETS = 64  # verification subsets per frame: the bits of one uint64 per p
 _SEED = struct.Struct(">Q")
 _VERIFY = struct.Struct(">QI")
 _RECORD = np.dtype(">u4")  # one field of a (sequence, start, end) record
+_CHUNK = 1 << 16  # subset words per step of a subset-parity reduction
 
 
 class ProtocolError(RuntimeError):
@@ -84,8 +87,10 @@ def _subset(words: np.ndarray, j: int) -> np.ndarray:
 
 
 def _subset_parities(key: np.ndarray, words: np.ndarray, count: int) -> np.ndarray:
-    """Parities of ``key`` over subsets ``0..count-1``, in one pass over the key."""
-    acc = np.bitwise_xor.reduce(words[key == 1])
+    """Parities of ``key`` over subsets ``0..count-1``: the XOR of ``words * key``, by chunks."""
+    acc = np.uint64(0)
+    for at in range(0, len(key), _CHUNK):
+        acc ^= np.bitwise_xor.reduce(words[at : at + _CHUNK] * key[at : at + _CHUNK])
     return ((acc >> np.arange(count, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
@@ -158,14 +163,17 @@ class _Alice:
                 f"parity request of {len(payload)} bytes is not a whole number of records"
             )
         seq, start, end = np.frombuffer(payload, dtype=_RECORD).reshape(-1, 3).astype(np.int64).T
-        if seq.max() >= len(self._length):
-            raise ProtocolError(f"unknown sequence {seq.max()}")
-        # Verification subsets searched for the first time.
-        for s in np.flatnonzero(np.bincount(seq[self._length[seq] < 0])):
-            seed, j = self._subsets.pop(int(s))
-            subset = _subset(_expanded(_subset_words, seed, len(self._key)), j)
-            self._lay(s, self._key[subset])
-        if np.any(start >= end) or np.any(end > self._length[seq]):
+        if (top := seq.max()) >= len(self._length):
+            raise ProtocolError(f"unknown sequence {top}")
+        length = self._length[seq]
+        if length.min() < 0:
+            # Verification subsets searched for the first time.
+            for s in np.flatnonzero(np.bincount(seq[length < 0])):
+                seed, j = self._subsets.pop(int(s))
+                subset = _subset(_expanded(_subset_words, seed, len(self._key)), j)
+                self._lay(s, self._key[subset])
+            length = self._length[seq]
+        if (start >= end).any() or (end > length).any():
             raise ProtocolError("empty range, or range past the end of its sequence")
         offset = self._offset[seq]
         return self._joined[offset + end] ^ self._joined[offset + start]
@@ -232,7 +240,8 @@ class RemoteOracle:
 
     def parities(self, seq: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Alice's parity over ``[start[i], end[i])`` of sequence ``seq[i]``, for every i."""
-        records = np.stack((seq, start, end), axis=1).astype(_RECORD)
+        records = np.empty((len(seq), 3), dtype=_RECORD)
+        records[:, 0], records[:, 1], records[:, 2] = seq, start, end
         return self._roundtrip(MSG_PARITY_REQUEST, records.tobytes(), len(records))
 
     def verify(self, seed: int, count: int) -> np.ndarray:
@@ -252,32 +261,34 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
     Range i is ``[start[i], end[i])`` of sequence ``seq[i]``, over which Bob's
     parity differs from Alice's.  The key positions of the ranges are laid
     end to end, range i's from ``base[i]`` on, so the prefix parities of
-    Bob's key over them answer every range.
+    Bob's key over them answer every range.  Each level carries only the
+    ranges still longer than one position.
     """
     length = end - start
-    where = np.empty(int(length.sum()), dtype=np.int64)
-    base = np.empty_like(start)
-    at = 0
-    for s in np.flatnonzero(np.bincount(seq)):
-        sel = np.flatnonzero(seq == s)
-        size = int(length[sel].sum())
-        base[sel] = at + np.cumsum(length[sel]) - length[sel]
-        # Entry g of range i is entry start[i] + g - base[i] of the sequence.
-        shift = np.repeat(start[sel] - base[sel], length[sel])
-        where[at : at + size] = seqs[s][np.arange(at, at + size) + shift]
-        at += size
+    base = np.cumsum(length) - length
+    # Entry g of the layout is entry g + shift[i] of range i's sequence,
+    # gathered once per run of ranges over the same sequence.
+    shift = start - base
+    where = np.arange(int(base[-1] + length[-1])) + np.repeat(shift, length)
+    runs = np.flatnonzero(seq[1:] != seq[:-1]) + 1
+    for a, b in zip([0, *runs.tolist()], [*base[runs].tolist(), len(where)]):
+        where[base[a] : b] = seqs[seq[a]][where[base[a] : b]]
     prefix = _prefix_parity(bob[where])
-    offsets = base - start
     lo, hi = base, base + length
-    while (act := np.flatnonzero(hi - lo > 1)).size:
-        a, b = lo[act], hi[act]
-        mid = (a + b) // 2
-        off = offsets[act]
-        left = oracle.parities(seq[act], a - off, mid - off) != prefix[mid] ^ prefix[a]
-        hi[act] = np.where(left, mid, b)
-        lo[act] = np.where(left, a, mid)
-    found = np.sort(where[lo])  # without repeats: ranges of two passes can share an error
-    return found[np.diff(found, prepend=-1) != 0]
+    found = []
+    while True:
+        longer = hi - lo > 1
+        if not longer.all():
+            found.append(where[lo[~longer]])
+            lo, hi, seq, shift = lo[longer], hi[longer], seq[longer], shift[longer]
+            if not lo.size:
+                break
+        mid = (lo + hi) >> 1
+        left = oracle.parities(seq, lo + shift, mid + shift) != prefix[mid] ^ prefix[lo]
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    # Without repeats: ranges of two passes can share an error.
+    found = np.sort(np.concatenate(found))
+    return found[np.concatenate(([True], found[1:] != found[:-1]))]
 
 
 def reconcile_with_oracle(bob_key, qber_estimate: float, oracle, rng) -> np.ndarray:
@@ -309,42 +320,39 @@ def _reconcile(bob, qber_estimate, oracle, rng, expand) -> np.ndarray:
     seqs: list = [np.arange(n)] + [expand(_permutation, seed) for seed in seeds]
     for seed in seeds:
         oracle.announce_permutation(seed)
-    block_of: list[np.ndarray] = []  # per pass begun: the block of each key position
-    bob_par: list[np.ndarray] = []  # per pass begun: Bob's block parities, kept current
-
-    def ranges(p: int, blocks: np.ndarray):
-        start = blocks * sizes[p]
-        return np.full(len(blocks), p), start, np.minimum(start + sizes[p], n)
-
-    def joined(parts):
-        return tuple(np.concatenate(field) for field in zip(*parts))
-
-    def flip(positions: np.ndarray):
-        bob[positions] ^= 1
-        for blocks, par in zip(block_of, bob_par):
-            par ^= (np.bincount(blocks[positions], minlength=len(par)) & 1).astype(np.uint8)
-
-    def mismatched_blocks():
-        return joined(
-            ranges(p, np.nonzero(par != alice_par[p])[0]) for p, par in enumerate(bob_par)
-        )
-
-    def settle(seq, start, end):
-        """Search the ranges, then every block the flips leave mismatched, until none is."""
-        while len(seq):
-            flip(_locate(bob, seqs, seq, start, end, oracle))
-            seq, start, end = mismatched_blocks()
-
-    # Every pass's block parities in one frame; the passes are then corrected in turn.
+    # Every block of every pass, numbered in the order the top frame asks for
+    # their parities: pass p's blocks are bounds[p] to bounds[p + 1].
     n_blocks = [-(-n // size) for size in sizes]
-    top = oracle.parities(*joined(ranges(p, np.arange(nb)) for p, nb in enumerate(n_blocks)))
-    alice_par = np.split(top, np.cumsum(n_blocks)[:-1])
-    for p, size in enumerate(sizes):
+    bounds = np.cumsum([0, *n_blocks]).tolist()
+    block_seq = np.repeat(np.arange(PASSES), n_blocks)
+    block_start = np.concatenate([np.arange(0, n, size) for size in sizes])
+    block_end = np.minimum(block_start + np.repeat(sizes, n_blocks), n)
+    # Every pass's block parities in one frame; the passes are then corrected in turn.
+    alice_par = oracle.parities(block_seq, block_start, block_end)
+    odd = np.zeros(len(alice_par), dtype=np.intp)  # per block: Bob's parity differs
+    block_of: list[np.ndarray] = []  # per pass begun: the block of each key position
+
+    def mismatched(upto: int):
+        blocks = np.flatnonzero(odd[:upto])
+        return block_seq[blocks], block_start[blocks], block_end[blocks]
+
+    def settle(upto: int, seq, start, end):
+        """Search the ranges, then every block before ``upto`` that the flips left odd."""
+        while len(seq):
+            found = _locate(bob, seqs, seq, start, end, oracle)
+            bob[found] ^= 1
+            hits = np.concatenate([blocks[found] for blocks in block_of])
+            odd[:upto] ^= np.bincount(hits, minlength=upto) & 1
+            seq, start, end = mismatched(upto)
+
+    for p in range(PASSES):
+        lo, hi = bounds[p], bounds[p + 1]
         blocks = np.empty(n, dtype=np.int32)
-        blocks[seqs[p]] = np.arange(n) // size
+        lengths = block_end[lo:hi] - block_start[lo:hi]
+        blocks[seqs[p]] = np.repeat(np.arange(lo, hi, dtype=np.int32), lengths)
         block_of.append(blocks)
-        bob_par.append(np.bitwise_xor.reduceat(bob[seqs[p]], np.arange(0, n, size)))
-        settle(*mismatched_blocks())
+        odd[lo:hi] = np.bitwise_xor.reduceat(bob[seqs[p]], block_start[lo:hi]) != alice_par[lo:hi]
+        settle(hi, *mismatched(hi))
 
     # Verification stage: random subset parities, a frame at a time, until a clean run.
     consecutive = 0
@@ -369,7 +377,7 @@ def _reconcile(bob, qber_estimate, oracle, rng, expand) -> np.ndarray:
         # and let the passes' blocks find the rest.
         s = first + bad[0]
         seqs[s] = _subset(words, bad[0])
-        settle(np.array([s]), np.array([0]), np.array([len(seqs[s])]))
+        settle(len(odd), np.array([s]), np.array([0]), np.array([len(seqs[s])]))
         consecutive = 0
     return bob
 

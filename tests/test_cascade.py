@@ -15,6 +15,9 @@ from aqua_qkd.bb84.cascade import (
     ProtocolError,
     RemoteOracle,
     _Alice,
+    _subset,
+    _subset_parities,
+    _subset_words,
     cascade_reconcile,
     reconcile_with_oracle,
     serve_parity_queries,
@@ -37,6 +40,14 @@ def bsc_pair(rng, n: int, p: float):
     alice = rng.integers(0, 2, n, dtype=np.uint8)
     bob = alice ^ (rng.random(n) < p).astype(np.uint8)
     return alice, bob
+
+
+def socketpair():
+    """A connected socket pair whose reads fail after 30 s, so a broken dialogue cannot hang."""
+    pair = socket.socketpair()
+    for sock in pair:
+        sock.settimeout(30)
+    return pair
 
 
 class RecordingChannel(FramedStreamChannel):
@@ -229,12 +240,28 @@ class TestCascadeReconcile:
             cascade_reconcile(key, key.copy(), qber, rng)
 
 
+class TestSubsetParities:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2**16 - 1, 2**16, 2**16 + 1, 200_000])
+    @pytest.mark.parametrize("kind", ["zeros", "ones", "random"])
+    def test_matches_the_parity_of_each_subset(self, n, kind):
+        # The key lengths straddle the reduction's 2^16-word chunks.
+        words = _subset_words(n, n)
+        key = {
+            "zeros": np.zeros(n, dtype=np.uint8),
+            "ones": np.ones(n, dtype=np.uint8),
+            "random": np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8),
+        }[kind]
+        expected = [np.bitwise_xor.reduce(key[_subset(words, j)]) for j in range(64)]
+        for count in (1, 64):
+            assert _subset_parities(key, words, count).tolist() == expected[:count]
+
+
 class TestRemoteOracle:
     def test_reconcile_over_byte_stream(self):
         rng = np.random.default_rng(9)
         alice, bob = bsc_pair(rng, 2048, 0.03)
 
-        alice_sock, bob_sock = socket.socketpair()
+        alice_sock, bob_sock = socketpair()
         alice_chan = FramedStreamChannel(alice_sock)
         bob_chan = FramedStreamChannel(bob_sock)
         server = threading.Thread(target=serve_parity_queries, args=(alice, alice_chan))
@@ -271,7 +298,7 @@ class TestRemoteOracle:
             oracle.close()
             results[i] = reconciled, oracle.bits_disclosed
 
-        socks = [socket.socketpair() for _ in range(4)]
+        socks = [socketpair() for _ in range(4)]
         threads = [
             threading.Thread(
                 target=serve_parity_queries, args=(keys[i % 2][0], FramedStreamChannel(a))
@@ -311,7 +338,7 @@ class TestRemoteOracle:
         _, leaked_local = cascade_reconcile(alice, bob, p, np.random.default_rng(12))
 
         alice, bob = make_keys()
-        alice_sock, bob_sock = socket.socketpair()
+        alice_sock, bob_sock = socketpair()
         alice_chan = RecordingChannel(alice_sock)
         bob_chan = RecordingChannel(bob_sock)
         server = threading.Thread(target=serve_parity_queries, args=(alice, alice_chan))
