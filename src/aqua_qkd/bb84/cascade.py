@@ -163,17 +163,17 @@ class _Alice:
                 f"parity request of {len(payload)} bytes is not a whole number of records"
             )
         seq, start, end = np.frombuffer(payload, dtype=_RECORD).reshape(-1, 3).astype(np.int64).T
-        if (top := seq.max()) >= len(self._length):
-            raise ProtocolError(f"unknown sequence {top}")
+        if np.count_nonzero(seq >= len(self._length)):
+            raise ProtocolError(f"unknown sequence {seq.max()}")
         length = self._length[seq]
-        if length.min() < 0:
+        if np.count_nonzero(length < 0):
             # Verification subsets searched for the first time.
             for s in np.flatnonzero(np.bincount(seq[length < 0])):
                 seed, j = self._subsets.pop(int(s))
                 subset = _subset(_expanded(_subset_words, seed, len(self._key)), j)
                 self._lay(s, self._key[subset])
             length = self._length[seq]
-        if (start >= end).any() or (end > length).any():
+        if np.count_nonzero(start >= end) or np.count_nonzero(end > length):
             raise ProtocolError("empty range, or range past the end of its sequence")
         offset = self._offset[seq]
         return self._joined[offset + end] ^ self._joined[offset + start]
@@ -270,7 +270,7 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
     # gathered once per run of ranges over the same sequence.
     shift = start - base
     where = np.arange(int(base[-1] + length[-1])) + np.repeat(shift, length)
-    runs = np.flatnonzero(seq[1:] != seq[:-1]) + 1
+    runs = (seq[1:] != seq[:-1]).nonzero()[0] + 1
     for a, b in zip([0, *runs.tolist()], [*base[runs].tolist(), len(where)]):
         where[base[a] : b] = seqs[seq[a]][where[base[a] : b]]
     prefix = _prefix_parity(bob[where])
@@ -278,7 +278,7 @@ def _locate(bob: np.ndarray, seqs: list, seq, start, end, oracle) -> np.ndarray:
     found = []
     while True:
         longer = hi - lo > 1
-        if not longer.all():
+        if np.count_nonzero(longer) < len(longer):
             found.append(where[lo[~longer]])
             lo, hi, seq, shift = lo[longer], hi[longer], seq[longer], shift[longer]
             if not lo.size:
@@ -333,7 +333,7 @@ def _reconcile(bob, qber_estimate, oracle, rng, expand) -> np.ndarray:
     block_of: list[np.ndarray] = []  # per pass begun: the block of each key position
 
     def mismatched(upto: int):
-        blocks = np.flatnonzero(odd[:upto])
+        blocks = odd[:upto].nonzero()[0]
         return block_seq[blocks], block_start[blocks], block_end[blocks]
 
     def settle(upto: int, seq, start, end):

@@ -129,15 +129,17 @@ def compute_qber(sifted_alice, sifted_bob) -> float:
 
 
 def sifted_key_rate(cfg: SessionConfig, sifting_factor: float = 0.5) -> float:
-    """Analytic sifted-key rate f * mu * T * q * eta / 2, where q is the
-    probability that the bases match; Bob's simulated choice is fair, q = 1/2."""
+    """Analytic sifted-key rate f * mu * T * q * eta, where q is the
+    probability that the bases match; Bob's simulated choice is fair, q = 1/2.
+
+    It is the first-order term of f * q * (1 - exp(-mu * eta * T)), the rate
+    of matched-basis signal clicks without dark counts or background."""
     return (
         cfg.pulse_rate
         * cfg.mean_photon_number
         * cfg.channel_transmission
         * sifting_factor
         * cfg.detector_efficiency
-        / 2.0
     )
 
 

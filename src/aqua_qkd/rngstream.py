@@ -145,9 +145,19 @@ def _words_to_unit(hi, lo, out) -> None:
 def normal_pair(seed: int, stream, counter):
     """Two independent standard normals per stream via Box-Muller.
 
-    Takes both uniforms of the one block at ``counter``.
+    Takes both uniforms of the one block at ``counter`` and works inside the
+    array ``uniform`` returned, with one temporary for the cosines: u1 becomes
+    ``r = sqrt(-2 log u1)`` and u2 ``theta = 2 pi u2``, then ``r cos(theta)``
+    and ``r sin(theta)``.  Returns the two rows of that array.
     """
-    u1, u2 = uniform(seed, stream, counter)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    return r * np.cos(theta), r * np.sin(theta)
+    u = uniform(seed, stream, counter)
+    r, theta = u[0, ...], u[1, ...]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return r[()], theta[()]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -123,16 +122,28 @@ def sample_source(beam: BeamParams, seed: int, ids: np.ndarray) -> tuple[np.ndar
     renormalized by ``sqrt((dx*dx + dy*dy) + 1)``, summed in the order
     ``np.linalg.norm`` sums.  Returns (positions, directions), each a (3, n)
     array with one contiguous row per component.
+
+    The beam is written straight into those rows, and the norm is summed in
+    the rows of the second normal pair, so the source makes no batch-length
+    temporaries of its own.
     """
     count = len(ids)
+    pos = np.empty((3, count))
     gx, gy = rngstream.normal_pair(seed, ids, np.uint64(0))
+    np.multiply(gx, beam.waist_radius / 2.0, out=pos[0])
+    np.multiply(gy, beam.waist_radius / 2.0, out=pos[1])
+    pos[2] = 0.0
+    del gx, gy
     tx, ty = rngstream.normal_pair(seed, ids, np.uint64(1))
-    sigma = beam.waist_radius / 2.0
-    pos = np.zeros((3, count))
-    pos[0], pos[1] = gx * sigma, gy * sigma
-    d = np.ones((3, count))
-    d[0], d[1] = tx * beam.divergence_half_angle, ty * beam.divergence_half_angle
-    d /= np.sqrt((d[0] * d[0] + d[1] * d[1]) + 1.0)
+    d = np.empty((3, count))
+    np.multiply(tx, beam.divergence_half_angle, out=d[0])
+    np.multiply(ty, beam.divergence_half_angle, out=d[1])
+    d[2] = 1.0
+    np.multiply(d[0], d[0], out=tx)
+    np.multiply(d[1], d[1], out=ty)
+    tx += ty
+    tx += 1.0
+    d /= np.sqrt(tx, out=tx)
     return pos, d
 
 
@@ -166,23 +177,28 @@ def _hg_cosine(g: float, u: np.ndarray) -> np.ndarray:
     return np.clip((1.0 + g * g - frac * frac) / (2.0 * g), -1.0, 1.0)
 
 
-def rotate_directions(d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def rotate_directions(
+    d: np.ndarray, cos_t: np.ndarray, phi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Scatter unit directions ``d`` (3, n) by polar cosine ``cos_t`` and azimuth ``phi``.
 
     Directions with |uz| > 0.99999 are scattered about the z axis itself,
     since the general formula divides by sqrt(1 - uz^2); theta is then measured
     from +z or -z, whichever the photon travels along, so cos_t < 0 reverses
-    it.  Returns a new (3, n) array, renormalized to unit length.
+    it.  Returns the (3, n) directions renormalized to unit length, in
+    ``out`` if given, else in a new array.  ``out`` may be ``d`` itself:
+    every new component is complete before the first is written.
     """
     nx, ny, nz = _rotate_unnormalized(d, cos_t, phi)
     norm = nx * nx
     norm += ny * ny
     norm += nz * nz
     np.sqrt(norm, out=norm)
-    new = np.empty_like(d)
+    if out is None:
+        out = np.empty_like(d)
     for j, component in enumerate((nx, ny, nz)):
-        np.divide(component, norm, out=new[j])
-    return new
+        np.divide(component, norm, out=out[j])
+    return out
 
 
 def _rotate_unnormalized(d, cos_t, phi):
@@ -245,50 +261,31 @@ def _simulate_batch(
 
     Positions and directions are held component-major, as (3, n) arrays with
     one contiguous row per component, and photons are gathered by index with
-    ``np.take``.  The lateral test evaluates ``hypot(x, y)`` only where
-    ``|x| + |y|``, its upper bound, comes near ``lateral_bound``.
+    ``np.take``.  An event's (path, absorb) draw and every array made from it
+    live only inside ``_hop``, so they are freed before the survivors are
+    gathered and draw (scatter, azimuth), and the survivors' directions are
+    rotated in place.  The batch's memory peaks at the first event's draw:
+    the cipher's staging beside the ids, positions and directions.
     """
     ids = np.arange(start, start + count, dtype=np.uint64)
     pos, d = sample_source(beam, seed, ids)
 
     received = [0, 0]  # [unscattered, scattered], indexed by event > 0
-    p_absorb = ch.absorption / ch.attenuation
-    # hypot(x, y) <= |x| + |y| always; the margin covers the rounding of both.
-    near_lateral = ch.lateral_bound * (1.0 - 1e-12)
-
     for event in range(_MAX_EVENTS):
         counter = np.uint64(_SOURCE_COUNTERS + 2 * event)
-        path, absorb = rngstream.uniform(seed, ids, counter)
-        step = np.log(path)
-        step /= -ch.attenuation
-
-        forward = d[2] > 0
-        exiting = forward & ((ch.length - pos[2]) / np.where(forward, d[2], 1.0) <= step)
-        out = np.flatnonzero(exiting)
-        if out.size:
-            pe, de = np.take(pos, out, axis=1), np.take(d, out, axis=1)
-            t = (ch.length - pe[2]) / de[2]
-            ok = receiver_accepts(pe[0] + t * de[0], pe[1] + t * de[1], de[2], ch)
-            received[event > 0] += int(np.count_nonzero(ok))
-
-        pos += step * d
-        gone = exiting | (pos[2] < 0)
-        near = np.flatnonzero(np.abs(pos[0]) + np.abs(pos[1]) > near_lateral)
-        x, y = np.take(pos[:2], near, axis=1)
-        gone[near[np.hypot(x, y) > ch.lateral_bound]] = True
-        # Survivors as indices into pos, d and absorb, gathered once after
-        # absorption.
-        live = np.flatnonzero(~gone)
-        live = live[np.take(absorb, live) >= p_absorb]
+        accepted, live = _hop(ch, pos, d, rngstream.uniform(seed, ids, counter))
+        received[event > 0] += accepted
         ids = np.take(ids, live)
         if ids.size == 0:
             break
-        pos, d = np.take(pos, live, axis=1), np.take(d, live, axis=1)
+        pos = np.take(pos, live, axis=1)
+        d = np.take(d, live, axis=1)
+        del live
 
         scatter, azimuth = rngstream.uniform(seed, ids, counter + np.uint64(1))
-        cos_t = sample_tthg_cosine(ch.phase_fn, scatter)
         azimuth *= 2.0 * np.pi
-        d = rotate_directions(d, cos_t, azimuth)
+        rotate_directions(d, sample_tthg_cosine(ch.phase_fn, scatter), azimuth, out=d)
+        del scatter, azimuth
 
     if ids.size:
         raise RuntimeError(
@@ -296,6 +293,49 @@ def _simulate_batch(
             f"(batch of photons {start}..{start + count - 1})"
         )
     return received[0], received[1]
+
+
+def _hop(ch: ChannelParams, pos: np.ndarray, d: np.ndarray, draws: np.ndarray):
+    """One event for the photons at ``pos`` heading along ``d``.
+
+    Moves ``pos`` in place by the free path that ``draws[0]`` gives.  Returns
+    how many photons the receiver accepts where they cross the exit plane on
+    the way, and the indices of the photons that scatter: those neither
+    exited, nor lost backward or laterally, nor absorbed by ``draws[1]``.
+    Once the absorptions are known, the rows of ``draws`` serve as the
+    event's batch-length scratch.  The lateral test evaluates
+    ``hypot(x, y)`` only where ``|x| + |y|``, its upper bound, comes near
+    ``lateral_bound``.
+    """
+    step, scratch = draws
+    gone = scratch < ch.absorption / ch.attenuation
+    np.log(step, out=step)
+    step /= -ch.attenuation
+
+    forward = d[2] > 0
+    np.subtract(ch.length, pos[2], out=scratch)
+    np.divide(scratch, d[2], out=scratch, where=forward)
+    exiting = forward & (scratch <= step)
+    out = np.flatnonzero(exiting)
+    accepted = 0
+    if out.size:
+        pe, de = np.take(pos, out, axis=1), np.take(d, out, axis=1)
+        t = (ch.length - pe[2]) / de[2]
+        ok = receiver_accepts(pe[0] + t * de[0], pe[1] + t * de[1], de[2], ch)
+        accepted = int(np.count_nonzero(ok))
+
+    for j in range(3):
+        pos[j] += np.multiply(step, d[j], out=scratch)
+    gone |= exiting
+    gone |= pos[2] < 0
+    # hypot(x, y) <= |x| + |y| always; the margin covers the rounding of both.
+    # The step is spent, so its row takes |y|.
+    np.abs(pos[0], out=scratch)
+    scratch += np.abs(pos[1], out=step)
+    near = np.flatnonzero(scratch > ch.lateral_bound * (1.0 - 1e-12))
+    x, y = np.take(pos[:2], near, axis=1)
+    gone[near[np.hypot(x, y) > ch.lateral_bound]] = True
+    return accepted, np.flatnonzero(~gone)
 
 
 def run_transport(
@@ -309,7 +349,9 @@ def run_transport(
     partitioning only changes the order of commutative integer sums.  Raises
     ``RuntimeError`` if any photon is still in flight after ``_MAX_EVENTS``
     events, rather than dropping it from the counts, and ``ValueError`` for
-    a seed outside [0, 2^64), which the cipher key would alias.
+    a seed outside [0, 2^64), which the cipher key would alias.  The process
+    pool is imported only here, by a run that uses it: importing the package
+    loads no multiprocessing.
     """
     if n_photons < 1:
         raise ValueError("n_photons must be >= 1")
@@ -318,6 +360,8 @@ def run_transport(
     counts = [min(_BATCH, n_photons - s) for s in starts]
     simulate = functools.partial(_simulate_batch, ch, beam, seed)
     if n_workers > 1 and len(starts) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(simulate, starts, counts))
     else:

@@ -193,7 +193,7 @@ def test_criterion_05_qber_and_rate_formulas():
             channel_transmission=t,
             detector_efficiency=eta,
         )
-        ok &= sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta / 2
+        ok &= sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta
     ok = report(5, "error-rate and sifted-rate formulas", bool(ok))
     assert ok
 

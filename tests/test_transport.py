@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aqua_qkd
 from aqua_qkd import transport
 from aqua_qkd.transport import (
     BeamParams,
@@ -17,6 +23,10 @@ from aqua_qkd.transport import (
 )
 
 WATER = dict(absorption=0.117, attenuation=0.683, length=2.37)
+# Traced peak memory of a transport run per photon of a full batch, in bytes:
+# ids, positions and directions beside the first event's cipher staging
+# take 96.
+PEAK_BYTES_PER_BATCH_PHOTON = 112
 
 
 class TestParams:
@@ -268,6 +278,20 @@ class TestPropagate:
         expected = rotate_directions(d, cos_t, phi)
         np.testing.assert_array_equal(rotate_directions(fortran, cos_t, phi), expected)
 
+    def test_rotation_in_place_matches_a_new_array(self):
+        # The transport rotates into its own directions; the inputs of a
+        # rotation into a new array stay as they were.
+        rng = np.random.default_rng(16)
+        d = unit_directions(3_000, rng).T.copy()
+        d[:, :1_000] = [[0.0], [1e-4], [-1.0]]
+        cos_t = 2.0 * rng.random(3_000) - 1.0
+        phi = 2.0 * np.pi * rng.random(3_000)
+        before = d.copy()
+        expected = rotate_directions(d, cos_t, phi)
+        np.testing.assert_array_equal(d, before)
+        assert rotate_directions(d, cos_t, phi, out=d) is d
+        np.testing.assert_array_equal(d, expected)
+
     def test_exit_plane_flag(self):
         # In a near-vacuum channel every photon reaches the exit plane
         # unscattered, inside the aperture and the FOV.
@@ -363,3 +387,29 @@ class TestRunTransport:
     def test_accepts_the_largest_seed(self):
         stats = run_transport(ChannelParams(**WATER), BeamParams(), 10, seed=2**64 - 1)
         assert stats.launched == 10
+
+    def test_peak_memory_per_batch_photon(self):
+        # One full batch and a partial one: memory is a fixed number of
+        # bytes per photon of the batch, whatever the number of photons.
+        tracemalloc.start()
+        try:
+            run_transport(ChannelParams(**WATER), BeamParams(), 70_000, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transport._BATCH < 70_000
+        assert peak <= PEAK_BYTES_PER_BATCH_PHOTON * transport._BATCH, peak / transport._BATCH
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # The pool and what it brings (multiprocessing, logging, subprocess)
+        # are imported only by a run that asks for workers.
+        code = (
+            "import sys, aqua_qkd.experiments; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        path = [str(Path(aqua_qkd.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
