@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,15 +60,15 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _reading(what: str):
-    """Report a KeyError, TypeError or ValueError raised while building a
-    scenario's inputs from ``what`` as a :class:`ConfigError`."""
+    """Report a KeyError, OSError, TypeError or ValueError raised while
+    building a scenario's inputs from ``what`` as a :class:`ConfigError`."""
     try:
         yield
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"invalid {what}: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
@@ -141,36 +141,6 @@ def _round_floats(obj):
     return obj
 
 
-def _session_config(params: dict, seed: int, transmission: float | None = None) -> SessionConfig:
-    with _reading("session parameters"):
-        merged = dict(CALIBRATED_SESSION)
-        merged.update(params)
-        merged["n_pulses"] = _whole_count(merged, "n_pulses", CALIBRATED_SESSION["n_pulses"])
-        mueller = merged.pop("channel_mueller", None)
-        if transmission is None:
-            if "channel_transmission" in merged:
-                transmission = merged.pop("channel_transmission")
-            elif "attenuation" in merged:
-                length = merged.pop("length", DEFAULT_CHANNEL_LENGTH_M)
-                transmission = math.exp(-merged.pop("attenuation") * length)
-            else:
-                transmission = 1.0
-        else:
-            merged.pop("channel_transmission", None)
-            merged.pop("attenuation", None)
-            merged.pop("length", None)
-        return SessionConfig(
-            channel_transmission=transmission,
-            channel_mueller=(
-                MuellerMatrix(np.asarray(mueller, dtype=float))
-                if mueller is not None
-                else MuellerMatrix.identity()
-            ),
-            seed=seed,
-            **merged,
-        )
-
-
 def _whole(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int; it must be a whole number in [low, high)."""
     if isinstance(value, float) and value.is_integer():
@@ -181,97 +151,120 @@ def _whole(value, name: str, low: int, high: int | None = None) -> int:
     return value
 
 
-def _whole_count(params: dict, key: str, default: int) -> int:
-    """``params[key]`` (or ``default``) as an int; it must be a whole number >= 1."""
-    return _whole(params.get(key, default), key, 1)
+# A scenario's function takes the seed and the config's keys as keyword
+# arguments, as do the helpers of nested blocks, so an unknown key raises
+# TypeError.  It checks every input and returns the run as a function of no
+# arguments, which ``run_scenario`` calls outside ``_reading``.
 
 
-def _run_mc_channel(cfg: ExperimentConfig) -> dict:
-    p = cfg.parameters
-    with _reading("mc-channel parameters"):
-        ch = dict(p["channel"])
-        phase_fn = TTHGParams(**ch.pop("phase_fn", {}))
-        channel = ChannelParams(phase_fn=phase_fn, **ch)
-        beam = BeamParams(**p.get("beam", {}))
-        n_photons = _whole_count(p, "n_photons", 1_000_000)
-        n_workers = _whole_count(p, "n_workers", 1)
-    stats = run_transport(channel, beam, n_photons=n_photons, seed=cfg.seed, n_workers=n_workers)
-    return stats.to_dict()
+def _session_config(
+    seed, /, *, attenuation=None, length=None, channel_mueller=None, **params
+) -> SessionConfig:
+    """A ``session`` block over ``CALIBRATED_SESSION``.  The channel is
+    ``channel_transmission`` (default 1), or ``attenuation`` per metre over
+    ``length`` metres (default the tank's)."""
+    if attenuation is not None and "channel_transmission" not in params:
+        length = DEFAULT_CHANNEL_LENGTH_M if length is None else length
+        params["channel_transmission"] = math.exp(-attenuation * length)
+    elif attenuation is not None or length is not None:
+        raise ConfigError("session: channel_transmission or attenuation (with length), not both")
+    params = dict(CALIBRATED_SESSION, **params)
+    params["n_pulses"] = _whole(params["n_pulses"], "n_pulses", 1)
+    if channel_mueller is not None:
+        params["channel_mueller"] = MuellerMatrix(np.asarray(channel_mueller, dtype=float))
+    return SessionConfig(seed=seed, **params)
 
 
-def _run_mueller_estimate(cfg: ExperimentConfig) -> dict:
-    p = cfg.parameters
-    with _reading("mueller-estimate parameters"):
-        if "measurements_csv" in p:
-            measurements = read_measurements_csv(p["measurements_csv"])
-        elif "measurements" in p:
-            measurements = [
-                PolarimetricMeasurement(
-                    theta1=m["theta1_rad"], theta2=m["theta2_rad"], intensity=m["intensity"]
-                )
-                for m in p["measurements"]
-            ]
-        else:
-            raise ConfigError("mueller-estimate requires 'measurements_csv' or 'measurements'")
-    return estimate_mueller(measurements).to_dict()
+def _channel(*, phase_fn={}, **params) -> ChannelParams:
+    return ChannelParams(phase_fn=TTHGParams(**phase_fn), **params)
 
 
-def _run_bb84(cfg: ExperimentConfig) -> dict:
-    session = _session_config(dict(cfg.parameters.get("session", {})), cfg.seed)
-    stats, material = run_session(session)
-    out = stats.to_dict()
-    out["secret_bits"] = int(len(material.secret))
-    out["channel_transmission"] = session.channel_transmission
-    return out
+def _run_mc_channel(seed, /, *, channel, beam={}, n_photons=1_000_000, n_workers=1):
+    channel = _channel(**channel)
+    beam = BeamParams(**beam)
+    n_photons = _whole(n_photons, "n_photons", 1)
+    n_workers = _whole(n_workers, "n_workers", 1)
+    return lambda: run_transport(
+        channel, beam, n_photons=n_photons, seed=seed, n_workers=n_workers
+    ).to_dict()
 
 
-def _run_sweep(cfg: ExperimentConfig) -> list[dict]:
+def _measurement(*, theta1_rad, theta2_rad, intensity) -> PolarimetricMeasurement:
+    return PolarimetricMeasurement(theta1=theta1_rad, theta2=theta2_rad, intensity=intensity)
+
+
+def _run_mueller_estimate(seed, /, *, measurements=None, measurements_csv=None):
+    if (measurements is None) == (measurements_csv is None):
+        raise ConfigError("mueller-estimate requires either 'measurements_csv' or 'measurements'")
+    if measurements_csv is not None:
+        measurements = read_measurements_csv(measurements_csv)
+    else:
+        measurements = [_measurement(**m) for m in measurements]
+    return lambda: estimate_mueller(measurements).to_dict()
+
+
+def _run_bb84(seed, /, *, session={}):
+    session = _session_config(seed, **session)
+
+    def run():
+        stats, material = run_session(session)
+        out = stats.to_dict()
+        out["secret_bits"] = int(len(material.secret))
+        out["channel_transmission"] = session.channel_transmission
+        return out
+
+    return run
+
+
+def _sweep_points(
+    *,
+    attenuations_per_m,
+    absorption_fraction=DEFAULT_ABSORPTION_FRACTION,
+    length_m=DEFAULT_CHANNEL_LENGTH_M,
+):
+    """A ``sweep`` block's (attenuation, absorption, transmission) per point."""
+    for value in (*attenuations_per_m, absorption_fraction, length_m):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"sweep values must be numbers, got {value!r}")
+    if not attenuations_per_m:
+        raise ConfigError("sweep scenario requires sweep.attenuations_per_m")
+    if any(b <= a for a, b in zip(attenuations_per_m, attenuations_per_m[1:])):
+        raise ConfigError("sweep attenuations must be strictly increasing")
+    return [(a, a * absorption_fraction, math.exp(-a * length_m)) for a in attenuations_per_m]
+
+
+def _run_sweep(seed, /, *, sweep, session={}):
     """One row per attenuation, keyed by the JSON keys of ``SWEEP_COLUMNS``."""
-    p = cfg.parameters
-    with _reading("sweep parameters"):
-        sweep = p.get("sweep", {})
-        attenuations = sweep.get("attenuations_per_m")
-        if not attenuations:
-            raise ConfigError("sweep scenario requires sweep.attenuations_per_m")
-        if any(b <= a for a, b in zip(attenuations, attenuations[1:])):
-            raise ConfigError("sweep attenuations must be strictly increasing")
-        fraction = sweep.get("absorption_fraction", DEFAULT_ABSORPTION_FRACTION)
-        length = sweep.get("length_m", DEFAULT_CHANNEL_LENGTH_M)
-        session_params = dict(p.get("session", {}))
+    points = _sweep_points(**sweep)
+    channel = sorted({"channel_transmission", "attenuation", "length"}.intersection(session))
+    if channel:
+        raise ConfigError(f"a sweep's session may not set the channel, got {', '.join(channel)}")
+    # The same seed at every point: common random numbers keep the
+    # trend in T free of independent sampling noise.
+    base = _session_config(seed, **session)
+    sessions = [replace(base, channel_transmission=t) for _, _, t in points]
 
-    rows = []
-    for attenuation in attenuations:
-        transmission = math.exp(-attenuation * length)
-        # The same seed at every point: common random numbers keep the
-        # trend in T free of independent sampling noise.
-        session = _session_config(dict(session_params), cfg.seed, transmission=transmission)
-        stats, _ = run_session(session)
-        values = (
-            attenuation,
-            attenuation * fraction,
-            transmission,
-            stats.qber,
-            stats.sifted_rate,
-            stats.secure_rate,
-            stats.leaked_bits,
-        )
-        rows.append(dict(zip((key for key, _ in SWEEP_COLUMNS), values)))
-    return rows
+    def run():
+        rows = []
+        for point, session in zip(points, sessions):
+            stats, _ = run_session(session)
+            values = (*point, stats.qber, stats.sifted_rate, stats.secure_rate, stats.leaked_bits)
+            rows.append(dict(zip((key for key, _ in SWEEP_COLUMNS), values)))
+        return rows
+
+    return run
 
 
-def _run_jerlov(cfg: ExperimentConfig) -> dict:
-    p = cfg.parameters
-    with _reading("jerlov-extrapolate parameters"):
-        target = p["target_attenuation"]
-        reference = p["reference_attenuation"]
-        ref_length = p["reference_length"]
-        equivalent = jerlov_extrapolate(target, reference, ref_length)
-    return {
-        "target_attenuation_per_m": target,
-        "reference_attenuation_per_m": reference,
-        "reference_length_m": ref_length,
-        "equivalent_length_m": equivalent,
+def _run_jerlov(seed, /, *, target_attenuation, reference_attenuation, reference_length):
+    payload = {
+        "target_attenuation_per_m": target_attenuation,
+        "reference_attenuation_per_m": reference_attenuation,
+        "reference_length_m": reference_length,
+        "equivalent_length_m": jerlov_extrapolate(
+            target_attenuation, reference_attenuation, reference_length
+        ),
     }
+    return lambda: payload
 
 
 _RUNNERS = {
@@ -301,7 +294,9 @@ def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
 
     Writes the text to ``output_path`` (or cfg.output_path) when given.
     """
-    payload = _RUNNERS[cfg.scenario](cfg)
+    with _reading(f"{cfg.scenario} parameters"):
+        run = _RUNNERS[cfg.scenario](cfg.seed, **cfg.parameters)
+    payload = run()
 
     render = _render_sweep_csv if cfg.output_format == "csv" else _render_json
     text = render(payload)

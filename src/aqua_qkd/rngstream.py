@@ -1,16 +1,18 @@
 """Counter-based random streams for reproducible parallel Monte Carlo.
 
 Implements the Philox4x32-10 block cipher (Salmon et al., Random123) as a
-pure-numpy vectorized function.  Each (seed, stream, counter) triple maps to
-one cipher block, whose four 32-bit words make two uniform doubles, so any
-photon history can regenerate its own random sequence independently of
-execution order or worker count.
+pure-numpy vectorized function.  A draw's address is one form throughout:
+the uint64 triple (seed, stream, counter).  The counter and the stream are the
+cipher's counter words (low 32 bits first) and the seed is its key, so each
+triple maps to one cipher block, whose four 32-bit words make two uniform
+doubles, and any photon history can regenerate its own random sequence
+independently of execution order or worker count.
 
-The cipher runs over its input in blocks of ``_BLOCK`` elements, each held in
-a few uint64 lanes that stay in cache for all ten rounds.  Every element is
-enciphered on its own, so the block length changes only the speed: each value
-is still a pure function of (seed, stream, counter), whatever the array
-around it.
+The cipher runs over its input in blocks of ``_BLOCK`` elements, each split
+into uint64 lanes of 32-bit words that stay in cache for all ten rounds.
+Every element is enciphered on its own, so the block length changes only the
+speed: each value is still a pure function of (seed, stream, counter),
+whatever the array around it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ _M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)
 _W = np.array([[0x9E3779B9], [0xBB67AE85]], dtype=np.uint64)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Round numbers 0..9, shaped to broadcast against (2, n) key words.
+# Round numbers 0..9, shaped to broadcast against the (2, 1) key words.
 _ROUND = np.arange(10, dtype=np.uint64).reshape(10, 1, 1)
 # Elements per cipher block: the six to eight uint64 lanes of a block (128 kB
 # each) stay in L2 across the ten rounds, and the numpy call overhead of a
@@ -37,10 +39,12 @@ _INV64 = 1.0 / 18446744073709551616.0
 _TWO32 = 4294967296.0
 
 
-def _round_keys(keys: np.ndarray) -> np.ndarray:
-    """The (10, 2, ...) uint64 keys of all rounds for key words ``keys`` (rows
-    k0, k1; one column, or one per element): round r's are (keys + r * W) mod 2^32."""
-    return (keys + _ROUND * _W) & _MASK32
+def _round_keys(key) -> np.ndarray:
+    """The (10, 2, 1) uint64 key words (k0, k1) of all rounds for the 64-bit
+    ``key``: round r's are (k + r * W) mod 2^32, k0 from the key's low half."""
+    key = np.uint64(key)
+    words = np.array([[key & _MASK32], [key >> _SHIFT32]], dtype=np.uint64)
+    return (words + _ROUND * _W) & _MASK32
 
 
 def _rounds(a: np.ndarray, b: np.ndarray, p: np.ndarray, round_keys) -> None:
@@ -60,29 +64,31 @@ def _rounds(a: np.ndarray, b: np.ndarray, p: np.ndarray, round_keys) -> None:
         np.bitwise_and(swapped, _MASK32, out=b)
 
 
-def philox4x32(c0, c1, c2, c3, k0, k1):
-    """Run 10 Philox4x32 rounds on vectorized counter/key words.
+def philox4x32(counter, stream, key):
+    """Run 10 Philox4x32 rounds on the block at each (counter, stream) under ``key``.
 
-    All arguments are uint32 arrays (or scalars) broadcast together.
-    Returns the four output words as uint32 arrays.
+    ``counter`` and ``stream`` are broadcastable uint64 arrays (or scalars)
+    and ``key`` one value in [0, 2^64).  The counter words are (low, high) of
+    ``counter`` then (low, high) of ``stream``, the key words (low, high) of
+    ``key``, as in Random123.  Returns the four output words as uint32 arrays
+    of the broadcast shape.
     """
-    words = [np.asarray(w, dtype=np.uint32) for w in (c0, c1, c2, c3, k0, k1)]
-    shape = np.broadcast_shapes(*(w.shape for w in words))
+    inputs = [np.asarray(w, dtype=np.uint64) for w in (counter, stream)]
+    shape = np.broadcast_shapes(*(w.shape for w in inputs))
     size = math.prod(shape)
-    words = [w if w.ndim == 0 else np.broadcast_to(w, shape).reshape(-1) for w in words]
-    scalar_keys = words[4].ndim == words[5].ndim == 0
-    if scalar_keys:
-        round_keys = _round_keys(np.array([[words[4]], [words[5]]], dtype=np.uint64))
-        words = words[:4]
+    inputs = [w if w.ndim == 0 else np.broadcast_to(w, shape).reshape(-1) for w in inputs]
+    round_keys = _round_keys(key)
 
     out = np.empty((4, size), dtype=np.uint32)
-    lanes = np.empty((4, 2, min(size, _BLOCK)), dtype=np.uint64)
+    lanes = np.empty((3, 2, min(size, _BLOCK)), dtype=np.uint64)
     for start in range(0, size, _BLOCK):
         stop = min(start + _BLOCK, size)
-        a, b, p, keys = lanes[:, :, : stop - start]
-        for lane, w in zip((a[0], b[0], a[1], b[1], keys[0], keys[1]), words):
-            lane[...] = w if w.ndim == 0 else w[start:stop]
-        _rounds(a, b, p, round_keys if scalar_keys else _round_keys(keys))
+        a, b, p = lanes[:, :, : stop - start]
+        for row, w in enumerate(inputs):
+            w = w if w.ndim == 0 else w[start:stop]
+            np.bitwise_and(w, _MASK32, out=a[row])
+            np.right_shift(w, _SHIFT32, out=b[row])
+        _rounds(a, b, p, round_keys)
         out[0::2, start:stop] = a
         out[1::2, start:stop] = b
     return tuple(w.reshape(shape)[()] for w in out)
@@ -98,11 +104,6 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def _key_words(seed: int):
-    s = np.uint64(seed)
-    return np.uint32(s & _MASK32), np.uint32(s >> np.uint64(32))
-
-
 def uniform(seed: int, stream, counter):
     """The two uniform doubles in (0, 1] of the block at each (stream, counter).
 
@@ -113,17 +114,7 @@ def uniform(seed: int, stream, counter):
     64-bit integer rounded to a double, plus 1, times 2^-64 (see
     ``_words_to_unit``).
     """
-    stream = np.asarray(stream, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    k0, k1 = _key_words(seed)
-    w0, w1, w2, w3 = philox4x32(
-        counter.astype(np.uint32),
-        (counter >> _SHIFT32).astype(np.uint32),
-        stream.astype(np.uint32),
-        (stream >> _SHIFT32).astype(np.uint32),
-        k0,
-        k1,
-    )
+    w0, w1, w2, w3 = philox4x32(counter, stream, seed)
     out = np.empty((2, *np.shape(w0)), dtype=np.float64)
     _words_to_unit(w0, w1, out[0, ...])
     _words_to_unit(w2, w3, out[1, ...])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aqua_qkd import experiments, transport
+from aqua_qkd.characterization import measurement_grid, predict_intensity
 from aqua_qkd.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from aqua_qkd.experiments import (
     SWEEP_CSV_HEADER,
@@ -13,6 +14,7 @@ from aqua_qkd.experiments import (
     jerlov_extrapolate,
     load_config,
 )
+from aqua_qkd.polarization import MuellerMatrix
 
 
 def write_config(tmp_path, name, doc):
@@ -40,6 +42,19 @@ MC_DOC = {
     "scenario": "mc-channel",
     "channel": {"absorption": 0.117, "attenuation": 0.683, "length": 2.37},
     "n_photons": 20_000,
+}
+
+# The 16 measurements of an identity channel.
+MUELLER_DOC = {
+    "scenario": "mueller-estimate",
+    "measurements": [
+        {
+            "theta1_rad": t1,
+            "theta2_rad": t2,
+            "intensity": predict_intensity(MuellerMatrix.identity(), t1, t2),
+        }
+        for t1, t2 in measurement_grid()
+    ],
 }
 
 
@@ -130,6 +145,31 @@ class TestExitCodes:
                 for doc in ({"scenario": "bb84-run"}, MC_DOC)
                 for seed in (-1, 1.5, "7", True, 2**64 + 42)
             ),
+            # Keys that no scenario reads, and values that are not numbers.
+            dict(MC_DOC, n_photon=1_000),
+            dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], length=100.0)),
+            *(
+                dict(SWEEP_DOC, session=dict(SWEEP_DOC["session"], **channel))
+                for channel in (
+                    {"channel_transmission": 0.5},
+                    {"attenuation": 0.68},
+                    {"length": 100.0},
+                )
+            ),
+            {"scenario": "bb84-run", "n_pulses": 400_000},
+            dict(JERLOV_DOC, length=2.37),
+            dict(MUELLER_DOC, noise=0.005),
+            dict(SWEEP_DOC, sweep={"attenuations_per_m": ["0.11", "0.68"]}),
+            dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], absorption_fraction="0.2")),
+            dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], length_m="2.37")),
+            {
+                "scenario": "bb84-run",
+                "session": {"channel_transmission": 0.5, "attenuation": 0.68},
+            },
+            {"scenario": "bb84-run", "session": {"length": 100.0}},
+            dict(MUELLER_DOC, measurements_csv="measurements.csv"),
+            dict(MUELLER_DOC, measurements=[dict(m, phase=0) for m in MUELLER_DOC["measurements"]]),
+            {"scenario": "mueller-estimate", "measurements_csv": "/nonexistent/measurements.csv"},
         ],
         ids=[
             "jerlov-missing-reference",
@@ -165,6 +205,22 @@ class TestExitCodes:
             "mc-string-seed",
             "mc-bool-seed",
             "mc-seed-past-2**64",
+            "mc-misspelled-n-photons",
+            "sweep-misspelled-length",
+            "sweep-session-channel-transmission",
+            "sweep-session-attenuation",
+            "sweep-session-length",
+            "bb84-extra-top-level-key",
+            "jerlov-extra-top-level-key",
+            "mueller-extra-top-level-key",
+            "sweep-string-attenuations",
+            "sweep-string-absorption-fraction",
+            "sweep-string-length",
+            "bb84-transmission-and-attenuation",
+            "bb84-length-without-attenuation",
+            "mueller-measurements-and-csv",
+            "mueller-extra-measurement-key",
+            "mueller-missing-csv",
         ],
     )
     def test_invalid_parameters(self, tmp_path, capsys, doc):

@@ -9,10 +9,15 @@ schedule and every printed float.  A change that alters them on purpose
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aqua_qkd
 from aqua_qkd import rngstream
 from aqua_qkd.bb84.session import SessionConfig, run_session
 from aqua_qkd.experiments import CALIBRATED_SESSION, ExperimentConfig, run_scenario
@@ -134,6 +139,50 @@ attenuation_per_m,absorption_per_m,transmission,qber,sifted_rate_bps,secure_rate
 )
 def test_rendered_output_is_pinned(cfg, expected):
     assert run_scenario(cfg) == expected
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+# numpy's x86-64 dispatch targets past AVX2, by the names numpy reports.
+# With them turned off, float64 ``np.log`` gives different bytes here.
+AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# Prints the dispatch targets still on, then the rendered scenario.
+_RENDER = """\
+import json, sys
+from aqua_qkd.experiments import ExperimentConfig, run_scenario
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+print(json.dumps([f for f in sys.argv[2:] if __cpu_features__.get(f)]))
+sys.stdout.write(run_scenario(ExperimentConfig(**json.loads(sys.argv[1]))))
+"""
+
+
+@pytest.mark.skipif(
+    not any(__cpu_features__.get(f) for f in AVX512_DISPATCH),
+    reason="no AVX-512 dispatch target is on, so there is none to turn off",
+)
+@pytest.mark.parametrize("cfg", [MC_CHANNEL, BB84_RUN], ids=["mc-channel", "bb84-run"])
+def test_output_is_independent_of_simd_dispatch(cfg):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_DISPATCH))
+    package_root = str(Path(aqua_qkd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _RENDER, json.dumps(dataclasses.asdict(cfg)), *AVX512_DISPATCH],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    still_on, output = child.stdout.split("\n", 1)
+    assert json.loads(still_on) == []
+    assert output == run_scenario(cfg)
 
 
 def test_mc_channel_draw_budget(monkeypatch):

@@ -83,12 +83,8 @@ class TestPairKnownAnswers:
         u = rngstream.uniform(seed, streams, counters)
         assert u.shape == (2, 300)
         assert u.dtype == np.float64
-        low = 0xFFFFFFFF
         for i, (s, c) in enumerate(zip(streams.tolist(), counters.tolist())):
-            words = rngstream.philox4x32(
-                c & low, c >> 32, s & low, s >> 32, seed & low, seed >> 32
-            )
-            w0, w1, w2, w3 = (int(w) for w in words)
+            w0, w1, w2, w3 = (int(w) for w in rngstream.philox4x32(c, s, seed))
             assert u[0, i] == (float(w0 << 32 | w1) + 1.0) * 2.0**-64
             assert u[1, i] == (float(w2 << 32 | w3) + 1.0) * 2.0**-64
 
@@ -140,8 +136,8 @@ class TestWordsToUnit:
 
 class TestPhilox:
     def test_output_shape_and_dtype(self):
-        c = np.arange(8, dtype=np.uint32)
-        w = rngstream.philox4x32(c, c, c, c, np.uint32(1), np.uint32(2))
+        c = np.arange(8, dtype=np.uint64) * np.uint64(2**32 + 1)  # both words c
+        w = rngstream.philox4x32(c, c, 2 << 32 | 1)
         assert len(w) == 4
         for word in w:
             assert word.dtype == np.uint32
@@ -150,9 +146,9 @@ class TestPhilox:
     def test_bit_avalanche_on_counter(self):
         # Flipping one counter bit should flip about half the output bits.
         n = 4096
-        c0 = np.arange(n, dtype=np.uint32)
-        base = rngstream.philox4x32(c0, 0, 0, 0, 1, 2)
-        flipped = rngstream.philox4x32(c0 ^ np.uint32(1), 0, 0, 0, 1, 2)
+        counter = np.arange(n, dtype=np.uint64)
+        base = rngstream.philox4x32(counter, 0, 2 << 32 | 1)
+        flipped = rngstream.philox4x32(counter ^ np.uint64(1), 0, 2 << 32 | 1)
         diff = np.concatenate([(a ^ b) for a, b in zip(base, flipped)])
         bits = np.unpackbits(diff.view(np.uint8))
         assert 0.45 < bits.mean() < 0.55
@@ -196,33 +192,43 @@ class TestKnownAnswers:
         ),
     ]
 
+    @staticmethod
+    def address(ctr, key):
+        """The 64-bit (counter, stream, key) of counter words c0..c3 and key
+        words k0, k1: the low word of each pair first."""
+        c0, c1, c2, c3 = ctr
+        k0, k1 = key
+        return c1 << 32 | c0, c3 << 32 | c2, k1 << 32 | k0
+
     @pytest.mark.parametrize("ctr,key,expected", VECTORS)
     def test_scalar_words(self, ctr, key, expected):
-        words = rngstream.philox4x32(*ctr, *key)
+        words = rngstream.philox4x32(*self.address(ctr, key))
         assert [int(w) for w in words] == list(expected)
 
     def test_vector_words(self):
-        ctr, key, expected = zip(*self.VECTORS)
-        cols = [np.array(c, dtype=np.uint32) for c in zip(*ctr)]
-        keys = [np.array(k, dtype=np.uint32) for k in zip(*key)]
-        words = rngstream.philox4x32(*cols, *keys)
-        for w, exp in zip(words, zip(*expected)):
-            assert w.dtype == np.uint32
-            np.testing.assert_array_equal(w, np.array(exp, dtype=np.uint32))
+        # All three (counter, stream) pairs as one array under each vector's
+        # key: the element of the vector that owns the key gives its words.
+        counters, streams, keys = zip(*(self.address(c, k) for c, k, _ in self.VECTORS))
+        counter, stream = (np.array(c, dtype=np.uint64) for c in (counters, streams))
+        for i, key in enumerate(keys):
+            words = rngstream.philox4x32(counter, stream, key)
+            assert [w.dtype for w in words] == [np.uint32] * 4
+            assert [int(w[i]) for w in words] == list(self.VECTORS[i][2])
 
-    def test_vector_keys_match_a_scalar_loop(self):
+    def test_vector_matches_a_scalar_loop(self):
         rng = np.random.default_rng(17)
         n = 40
-        c0, c1, c2, c3, k0, k1 = rng.integers(0, 2**32, (6, n), dtype=np.uint32)
-        words = rngstream.philox4x32(c0, c1, c2, c3, k0, k1)
-        for i in range(n):
-            one = rngstream.philox4x32(c0[i], c1[i], c2[i], c3[i], k0[i], k1[i])
-            assert [int(w[i]) for w in words] == [int(w) for w in one]
-        # A scalar key word broadcasts against a vector one.
-        mixed = rngstream.philox4x32(c0, c1, c2, c3, k0, k1[0])
-        for i in range(n):
-            one = rngstream.philox4x32(c0[i], c1[i], c2[i], c3[i], k0[i], k1[0])
-            assert [int(w[i]) for w in mixed] == [int(w) for w in one]
+        counter, stream = rng.integers(0, 2**64, (2, n), dtype=np.uint64)
+        for key in (0, int(rng.integers(0, 2**64, dtype=np.uint64)), 2**64 - 1):
+            words = rngstream.philox4x32(counter, stream, key)
+            for i in range(n):
+                one = rngstream.philox4x32(int(counter[i]), int(stream[i]), key)
+                assert [int(w[i]) for w in words] == [int(w) for w in one]
+                # A scalar counter broadcasts against a vector stream, and back.
+                row = rngstream.philox4x32(counter[i], stream, key)
+                col = rngstream.philox4x32(counter, stream[i], key)
+                assert [int(w[i]) for w in row] == [int(w) for w in one]
+                assert [int(w[i]) for w in col] == [int(w) for w in one]
 
 
 class TestBlocks:
@@ -244,10 +250,11 @@ class TestBlocks:
     def test_philox_is_independent_of_the_block_edges(self):
         block = rngstream._BLOCK
         n = 2 * block + 3
-        c = np.arange(n, dtype=np.uint32)
-        whole = rngstream.philox4x32(c, 1, c, 2, 3, 4)
+        c = np.arange(n, dtype=np.uint64)
+        counter, stream = c | np.uint64(1 << 32), c | np.uint64(2 << 32)
+        whole = rngstream.philox4x32(counter, stream, 4 << 32 | 3)
         for a, b in ((0, block + 1), (block + 1, n)):
-            part = rngstream.philox4x32(c[a:b], 1, c[a:b], 2, 3, 4)
+            part = rngstream.philox4x32(counter[a:b], stream[a:b], 4 << 32 | 3)
             for w, p in zip(whole, part):
                 np.testing.assert_array_equal(w[a:b], p)
 
