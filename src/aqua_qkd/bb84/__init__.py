@@ -23,8 +23,8 @@ from .session import (
     compute_qber,
     detect_pulses,
     estimate_qber_disclosed,
+    expected_rates,
     run_session,
-    sifted_key_rate,
 )
 
 __all__ = [
@@ -49,10 +49,10 @@ __all__ = [
     "detect_pulses",
     "encode_frame",
     "estimate_qber_disclosed",
+    "expected_rates",
     "privacy_amplify",
     "reconcile_with_oracle",
     "run_session",
     "serve_parity_queries",
-    "sifted_key_rate",
     "toeplitz_hash",
 ]

@@ -1,4 +1,6 @@
-"""Authenticated-classical-channel plumbing for key post-processing.
+"""Classical-channel plumbing for key post-processing.  It is unauthenticated:
+nothing checks that a frame came unaltered from the peer, though the
+key-length policy assumes it (ROADMAP item 13).
 
 Two interchangeable transports carry the reconciliation dialogue:
 

@@ -77,27 +77,19 @@ def toeplitz_hash(bits: np.ndarray, output_length: int, seed_bits: np.ndarray) -
 
 
 def privacy_amplify(
-    reconciled,
-    rng,
-    extraction_ratio: float = DEFAULT_EXTRACTION_RATIO,
-    output_length: int | None = None,
+    reconciled, rng, extraction_ratio: float = DEFAULT_EXTRACTION_RATIO
 ) -> np.ndarray:
-    """Compress the reconciled key into the secret key.
-
-    Output length defaults to floor(extraction_ratio * len(reconciled)),
-    clamped to be non-negative; an explicit ``output_length`` must lie in
-    [0, len(reconciled)].  The Toeplitz seed is drawn from ``rng``, so the
-    same seed and input always produce the same output.
+    """Compress the reconciled key into the secret key of
+    floor(extraction_ratio * len(reconciled)) bits; the ratio must lie in
+    [0, 1].  The Toeplitz seed is drawn from ``rng``, so the same seed and
+    input always produce the same output.
     """
+    if not 0.0 <= extraction_ratio <= 1.0:
+        raise ValueError(f"extraction_ratio must lie in [0, 1], got {extraction_ratio}")
     bits = np.asarray(reconciled, dtype=np.uint8)
     n = len(bits)
-    if output_length is None:
-        output_length = max(0, int(extraction_ratio * n))
-    if output_length < 0:
-        raise ValueError(f"output_length must be non-negative, got {output_length}")
-    if output_length > n:
-        raise ValueError(f"requested {output_length} output bits from {n} input bits")
-    if output_length == 0 or n == 0:
+    output_length = int(extraction_ratio * n)
+    if output_length == 0:
         return np.zeros(0, dtype=np.uint8)
     seed_bits = rng.integers(0, 2, size=output_length + n - 1, dtype=np.uint8)
     return toeplitz_hash(bits, output_length, seed_bits)

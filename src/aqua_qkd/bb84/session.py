@@ -128,19 +128,35 @@ def compute_qber(sifted_alice, sifted_bob) -> float:
     return float(np.mean(a != b))
 
 
-def sifted_key_rate(cfg: SessionConfig, sifting_factor: float = 0.5) -> float:
-    """Analytic sifted-key rate f * mu * T * q * eta, where q is the
-    probability that the bases match; Bob's simulated choice is fair, q = 1/2.
+def _click_law(cfg: SessionConfig):
+    """Each arm's click probabilities (pc0, pc1) in the 8 ``[basis, bit,
+    bob_basis]`` cells as a function of the transmission T: pc_i = 1 -
+    exp(-mu eta s0 T p_i)(1 - p_dark - p_bg), with p_i arm i's share after
+    the intrinsic error e and s0 the state's channel output intensity."""
+    e = cfg.intrinsic_error
+    p0_table, s0 = arm0_probabilities(cfg.channel_mueller)
+    p0 = (p0_table * (1 - 2 * e) + e).ravel()
+    mu_eta = cfg.mean_photon_number * cfg.detector_efficiency * np.repeat(s0.ravel(), 2)
+    no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
+    return lambda t: [1.0 - np.exp(-mu_eta * t * p) * no_noise for p in (p0, 1.0 - p0)]
 
-    It is the first-order term of f * q * (1 - exp(-mu * eta * T)), the rate
-    of matched-basis signal clicks without dark counts or background."""
-    return (
-        cfg.pulse_rate
-        * cfg.mean_photon_number
-        * cfg.channel_transmission
-        * sifting_factor
-        * cfg.detector_efficiency
-    )
+
+def expected_rates(cfg: SessionConfig) -> dict[str, float]:
+    """Per-pulse probabilities of a detection, a sifted bit and a wrong sifted
+    bit at ``cfg.channel_transmission`` under the law :func:`detect_pulses`
+    draws from: each cell has probability 1/8 and is detected when either arm
+    clicks, Bob reads 1 when arm 1 clicks alone or on half of the double
+    clicks, and the cells where Bob's basis is Alice's sift."""
+    pc0, pc1 = _click_law(cfg)(cfg.channel_transmission)
+    detected = 1.0 - (1.0 - pc0) * (1.0 - pc1)
+    sifted = np.array([0, 2, 5, 7])  # cell = 4 basis + 2 bit + bob_basis
+    bob_one = pc1[sifted] * (1.0 - pc0[sifted] / 2)
+    wrong = np.where(sifted & 2, detected[sifted] - bob_one, bob_one)
+    return {
+        "detected_pulses": float(detected.sum() / 8),
+        "sifted_bits": float(detected[sifted].sum() / 8),
+        "wrong_bits": float(wrong.sum() / 8),
+    }
 
 
 def estimate_qber_disclosed(sifted_alice, sifted_bob, fraction: float, rng):
@@ -191,19 +207,8 @@ def detect_pulses(cfg: SessionConfig, rng):
     one, and a pulse detected at one transmission is detected at every
     higher one.
     """
-    # Arm-0 probability per cell after the intrinsic error e, and each
-    # state's channel output intensity s0, which scales its photon number.
-    e = cfg.intrinsic_error
-    p0_table, s0 = arm0_probabilities(cfg.channel_mueller)
-    p0 = (p0_table * (1 - 2 * e) + e).ravel()
-    mu_eta = cfg.mean_photon_number * cfg.detector_efficiency * np.repeat(s0.ravel(), 2)
-    no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
-
-    def click_tables(t):
-        return [1.0 - np.exp(-mu_eta * t * p) * no_noise for p in (p0, 1.0 - p0)]
-
-    b0, b1 = click_tables(1.0)
-    pc0, pc1 = click_tables(cfg.channel_transmission)
+    law = _click_law(cfg)
+    (b0, b1), (pc0, pc1) = law(1.0), law(cfg.channel_transmission)
     q_max = (1.0 - (1.0 - b0) * (1.0 - b1)).max()
     # The docstring's thresholds as per-cell edges of x: v < t reads
     # x < cell + t / q_max.  With q_max = 0 no candidate is drawn and the

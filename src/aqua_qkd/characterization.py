@@ -15,7 +15,6 @@ one place where a channel meets them.  The session's detection,
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -71,9 +70,6 @@ class ChannelMuellerEstimate:
             "condition_number": self.condition_number,
             "residual_norm": self.residual_norm,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def measurement_grid() -> list[tuple[float, float]]:

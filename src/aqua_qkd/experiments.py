@@ -230,6 +230,8 @@ def _sweep_points(
         raise ConfigError("sweep scenario requires sweep.attenuations_per_m")
     if any(b <= a for a, b in zip(attenuations_per_m, attenuations_per_m[1:])):
         raise ConfigError("sweep attenuations must be strictly increasing")
+    if not 0.0 <= absorption_fraction <= 1.0:
+        raise ConfigError(f"absorption_fraction must lie in [0, 1], got {absorption_fraction}")
     return [(a, a * absorption_fraction, math.exp(-a * length_m)) for a in attenuations_per_m]
 
 
@@ -289,10 +291,10 @@ def _render_sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
+def run_scenario(cfg: ExperimentConfig) -> str:
     """Execute the configured scenario; returns the rendered output text.
 
-    Writes the text to ``output_path`` (or cfg.output_path) when given.
+    Writes the text to ``cfg.output_path`` when it is set.
     """
     with _reading(f"{cfg.scenario} parameters"):
         run = _RUNNERS[cfg.scenario](cfg.seed, **cfg.parameters)
@@ -301,7 +303,6 @@ def run_scenario(cfg: ExperimentConfig, output_path=None) -> str:
     render = _render_sweep_csv if cfg.output_format == "csv" else _render_json
     text = render(payload)
 
-    target = output_path or cfg.output_path
-    if target is not None:
-        Path(target).write_bytes(text.encode("utf-8"))
+    if cfg.output_path is not None:
+        Path(cfg.output_path).write_bytes(text.encode("utf-8"))
     return text

@@ -7,12 +7,13 @@ to see all of them) and then asserts, so failures stay honest.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aqua_qkd.bb84.cascade import cascade_reconcile
-from aqua_qkd.bb84.session import SessionConfig, run_session, sifted_key_rate
+from aqua_qkd.bb84.session import SessionConfig, compute_qber, expected_rates, run_session
 from aqua_qkd.characterization import (
     estimate_mueller,
     measurement_grid,
@@ -30,6 +31,7 @@ from aqua_qkd.experiments import (
 )
 from aqua_qkd.polarization import MuellerMatrix
 from aqua_qkd.transport import BeamParams, ChannelParams, run_transport
+from receiver_model import closed_form_probabilities
 
 WATER_ATTENUATION = 0.683
 WATER_ABSORPTION = 0.117
@@ -70,21 +72,14 @@ def calibrated_sweep():
 def closed_form_secure_rate(transmission: float, n_pulses: int) -> tuple[float, float]:
     """Expected secure rate of a ``CALIBRATED_SESSION`` run, and its 1-sigma spread.
 
-    Worked from the detection model's own statement, not from the session
-    code: each arm clicks with pc_i = 1 - exp(-mu*eta*T*p_i)(1 - p_dark - p_bg),
-    where a matched basis splits the light as p = (1 - e, e); a pulse is
-    detected when either arm clicks, and half the detected pulses survive
-    sifting (Bob picks Alice's basis with probability 1/2).  With no QBER
-    sample disclosed the reconciled key is the sifted key, and the secret key
-    keeps the fixed ratio of it.  The spread is binomial in the sifted count.
+    The sifted probability is the receiver model's (``receiver_model``), not
+    the session code's.  With no QBER sample disclosed the reconciled key is
+    the sifted key, and the secret key keeps the fixed ratio of it.  The
+    spread is binomial in the sifted count.
     """
     c = CALIBRATED_SESSION
-    mu_eta_t = c["mean_photon_number"] * c["detector_efficiency"] * transmission
-    no_noise = 1.0 - c["dark_count_prob"] - c["background_prob"]
-    e = c["intrinsic_error"]
-    pc0 = 1.0 - math.exp(-mu_eta_t * (1.0 - e)) * no_noise
-    pc1 = 1.0 - math.exp(-mu_eta_t * e) * no_noise
-    p_sift = (1.0 - (1.0 - pc0) * (1.0 - pc1)) / 2.0
+    cfg = SessionConfig(**dict(c, channel_transmission=transmission, n_pulses=n_pulses))
+    p_sift = closed_form_probabilities(cfg)["sifted_bits"]
     duration = n_pulses / c["pulse_rate"]
     rate = c["extraction_ratio"] * n_pulses * p_sift / duration
     sigma = c["extraction_ratio"] * math.sqrt(n_pulses * p_sift * (1.0 - p_sift)) / duration
@@ -174,26 +169,24 @@ def test_criterion_04_depolarizer_closed_forms():
 def test_criterion_05_qber_and_rate_formulas():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     ok = True
-    from aqua_qkd.bb84.session import compute_qber
-
     for _ in range(10):
         n = int(rng.integers(100, 5000))
         a = rng.integers(0, 2, n, dtype=np.uint8)
         b = rng.integers(0, 2, n, dtype=np.uint8)
         ok &= compute_qber(a, b) == np.count_nonzero(a != b) / n
     for _ in range(10):
-        f = float(rng.uniform(1e5, 1e7))
-        mu = float(rng.uniform(0.01, 1.0))
-        t = float(rng.uniform(0.01, 1.0))
-        q = float(rng.choice([0.5, 1.0]))
-        eta = float(rng.uniform(0.01, 1.0))
         cfg = SessionConfig(
-            pulse_rate=f,
-            mean_photon_number=mu,
-            channel_transmission=t,
-            detector_efficiency=eta,
+            pulse_rate=float(rng.uniform(1e5, 1e7)),
+            mean_photon_number=float(rng.uniform(0.01, 1.0)),
+            channel_transmission=float(rng.uniform(0.01, 1.0)),
+            detector_efficiency=float(rng.uniform(0.01, 1.0)),
+            dark_count_prob=float(rng.uniform(0.0, 1e-3)),
+            background_prob=float(rng.uniform(0.0, 1e-3)),
+            intrinsic_error=float(rng.uniform(0.0, 0.1)),
         )
-        ok &= sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta
+        rate = cfg.pulse_rate * expected_rates(cfg)["sifted_bits"]
+        reference = cfg.pulse_rate * closed_form_probabilities(cfg)["sifted_bits"]
+        ok &= math.isclose(rate, reference, rel_tol=1e-12)
     ok = report(5, "error-rate and sifted-rate formulas", bool(ok))
     assert ok
 
@@ -286,8 +279,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     cfg_path.write_text(json.dumps(doc), encoding="utf-8")
     cfg = load_config(cfg_path)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_scenario(cfg, output_path=str(first))
-    run_scenario(cfg, output_path=str(second))
+    run_scenario(replace(cfg, output_path=str(first)))
+    run_scenario(replace(cfg, output_path=str(second)))
 
     mc_doc = {
         "scenario": "mc-channel",
@@ -299,8 +292,8 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     mc_path.write_text(json.dumps(mc_doc), encoding="utf-8")
     mc_cfg = load_config(mc_path)
     mc_first, mc_second = tmp_path / "m1.json", tmp_path / "m2.json"
-    run_scenario(mc_cfg, output_path=str(mc_first))
-    run_scenario(mc_cfg, output_path=str(mc_second))
+    run_scenario(replace(mc_cfg, output_path=str(mc_first)))
+    run_scenario(replace(mc_cfg, output_path=str(mc_second)))
 
     ok = report(
         10,

@@ -14,8 +14,8 @@ from aqua_qkd.bb84.session import (
     compute_qber,
     detect_pulses,
     estimate_qber_disclosed,
+    expected_rates,
     run_session,
-    sifted_key_rate,
 )
 from aqua_qkd.characterization import qber_from_mueller
 from aqua_qkd.experiments import CALIBRATED_SESSION
@@ -27,6 +27,7 @@ from aqua_qkd.polarization import (
     rotation_mueller,
     waveplate_mueller,
 )
+from receiver_model import closed_form_probabilities
 
 
 # Peak memory of detection per detected pulse, in bytes.
@@ -194,32 +195,6 @@ def session_stats(cfg: SessionConfig):
         return exc.stats
 
 
-def closed_form_probabilities(cfg: SessionConfig) -> dict:
-    """Per-pulse probabilities of a detection, a sifted bit and a wrong sifted bit.
-
-    The model criterion 06 uses, for the identity channel: each arm clicks
-    with pc_i = 1 - exp(-mu*eta*T*p_i)(1 - p_dark - p_bg), a matched basis
-    splits the light as p = (1 - e, e) and a conjugate one as (1/2, 1/2); a
-    pulse is detected when either arm clicks, Bob picks Alice's basis with
-    probability 1/2, and a double click is squashed to a fair coin.
-    """
-    mu_eta_t = cfg.mean_photon_number * cfg.detector_efficiency * cfg.channel_transmission
-    no_noise = 1.0 - cfg.dark_count_prob - cfg.background_prob
-    e = cfg.intrinsic_error
-
-    def click(p):
-        return 1.0 - math.exp(-mu_eta_t * p) * no_noise
-
-    right, wrong, half = click(1.0 - e), click(e), click(0.5)
-    matched = 1.0 - (1.0 - right) * (1.0 - wrong)
-    conjugate = 1.0 - (1.0 - half) ** 2
-    return {
-        "detected_pulses": (matched + conjugate) / 2,
-        "sifted_bits": matched / 2,
-        "wrong_bits": (wrong * (1.0 - right) + right * wrong / 2) / 2,
-    }
-
-
 class TestDetectionLaw:
     @pytest.mark.parametrize(
         "cfg",
@@ -251,7 +226,9 @@ class TestDetectionLaw:
             stats = session_stats(replace(cfg, seed=seed))
             for name in totals:
                 totals[name] += getattr(stats, name)
+        rates = expected_rates(cfg)
         for name, p in closed_form_probabilities(cfg).items():
+            assert rates[name] == pytest.approx(p, rel=1e-12)
             assert_binomial(totals[name], len(seeds) * cfg.n_pulses, p)
 
     def test_lower_transmission_detects_a_subsequence(self):
@@ -371,38 +348,15 @@ class TestQberAndRate:
         with pytest.raises(ValueError):
             compute_qber([], [])
 
-    def test_sifted_rate_formula(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            f = float(rng.uniform(1e5, 1e7))
-            mu = float(rng.uniform(0.01, 1.0))
-            t = float(rng.uniform(0.01, 1.0))
-            q = float(rng.choice([0.5, 1.0]))
-            eta = float(rng.uniform(0.01, 1.0))
-            cfg = quiet_config(
-                pulse_rate=f,
-                mean_photon_number=mu,
-                channel_transmission=t,
-                detector_efficiency=eta,
-            )
-            assert sifted_key_rate(cfg, sifting_factor=q) == f * mu * t * q * eta
-
-    def test_sifted_rate_linear_in_transmission(self):
-        lo = quiet_config(channel_transmission=0.25)
-        hi = quiet_config(channel_transmission=0.5)
-        assert sifted_key_rate(hi) == 2 * sifted_key_rate(lo)
-
     def test_sifted_rate_formula_matches_the_simulation(self):
-        # Without noise every sifted bit is a matched-basis signal click, a
-        # binomial count with p = q * (1 - exp(-mu * eta * T)); the formula,
-        # its first-order term, lies 0.2% (0.3 sigma) above the mean here.
+        # The sifted count is Bin(n_pulses, p), p the receiver law's; without
+        # noise p = (1 - exp(-mu * eta * T)) / 2.
         cfg = quiet_config(channel_transmission=0.5, n_pulses=16_000_000, seed=3)
         stats, _ = run_session(cfg)
-        mu_eta_t = cfg.mean_photon_number * cfg.detector_efficiency * cfg.channel_transmission
-        p = -math.expm1(-mu_eta_t) / 2
+        p = expected_rates(cfg)["sifted_bits"]
         duration = cfg.n_pulses / cfg.pulse_rate
         sigma = math.sqrt(cfg.n_pulses * p * (1 - p)) / duration
-        assert abs(stats.sifted_rate - sifted_key_rate(cfg)) < 4 * sigma
+        assert abs(stats.sifted_rate - cfg.pulse_rate * p) < 4 * sigma
 
     def test_disclosed_estimator(self):
         rng = np.random.default_rng(8)
@@ -467,6 +421,43 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="seed"):
             quiet_config(seed=seed)
         assert quiet_config(seed=2**64 - 1).seed == 2**64 - 1
+
+
+# Mueller channels of the sessions checked against the channel's QBER and
+# the receiver law's rates.
+MUELLER_CHANNELS = pytest.mark.parametrize(
+    "channel",
+    [
+        rotation_mueller(0.2),
+        waveplate_mueller(WaveplateSpec(theta=0.4, delta=0.25)),
+        rotation_mueller(-0.03)
+        @ waveplate_mueller(WaveplateSpec(theta=1.1, delta=0.15))
+        @ MuellerMatrix(np.diag([1.0, 0.95, 0.9, 0.97])),
+        MuellerMatrix(np.diag([1.0, 0.93, 0.97, 0.9]))
+        @ rotation_mueller(0.04)
+        @ waveplate_mueller(WaveplateSpec(theta=2.5, delta=0.3)),
+        # Passive diattenuators: the output intensity s0 differs by state.
+        MuellerMatrix(
+            np.array(
+                [[1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, 0.99**0.5, 0], [0, 0, 0, 0.99**0.5]]
+            )
+            / 1.1
+        )
+        @ rotation_mueller(0.15),
+        MuellerMatrix(
+            np.array([[1, 0.8, 0, 0], [0.8, 1, 0, 0], [0, 0, 0.6, 0], [0, 0, 0, 0.6]]) / 1.8
+        )
+        @ rotation_mueller(0.3),
+    ],
+    ids=[
+        "rotation",
+        "retarder",
+        "rotation-retarder-depolarizer",
+        "depolarizer-rotation-retarder",
+        "diattenuator-rotation",
+        "strong-diattenuator-rotation",
+    ],
+)
 
 
 class TestRunSession:
@@ -548,39 +539,7 @@ class TestRunSession:
         assert clean.qber == 0.0
         assert noisy.qber == pytest.approx(0.05, abs=0.01)
 
-    @pytest.mark.parametrize(
-        "channel",
-        [
-            rotation_mueller(0.2),
-            waveplate_mueller(WaveplateSpec(theta=0.4, delta=0.25)),
-            rotation_mueller(-0.03)
-            @ waveplate_mueller(WaveplateSpec(theta=1.1, delta=0.15))
-            @ MuellerMatrix(np.diag([1.0, 0.95, 0.9, 0.97])),
-            MuellerMatrix(np.diag([1.0, 0.93, 0.97, 0.9]))
-            @ rotation_mueller(0.04)
-            @ waveplate_mueller(WaveplateSpec(theta=2.5, delta=0.3)),
-            # Passive diattenuators: the output intensity s0 differs by state.
-            MuellerMatrix(
-                np.array(
-                    [[1, 0.1, 0, 0], [0.1, 1, 0, 0], [0, 0, 0.99**0.5, 0], [0, 0, 0, 0.99**0.5]]
-                )
-                / 1.1
-            )
-            @ rotation_mueller(0.15),
-            MuellerMatrix(
-                np.array([[1, 0.8, 0, 0], [0.8, 1, 0, 0], [0, 0, 0.6, 0], [0, 0, 0, 0.6]]) / 1.8
-            )
-            @ rotation_mueller(0.3),
-        ],
-        ids=[
-            "rotation",
-            "retarder",
-            "rotation-retarder-depolarizer",
-            "depolarizer-rotation-retarder",
-            "diattenuator-rotation",
-            "strong-diattenuator-rotation",
-        ],
-    )
+    @MUELLER_CHANNELS
     def test_session_qber_matches_channel_qber(self, channel):
         # Independent Poisson arms: the first-order terms in mu*T*eta cancel,
         # so the sifted QBER of a noiseless session is the channel's
@@ -589,6 +548,24 @@ class TestRunSession:
         stats, _ = run_session(quiet_config(channel_mueller=channel, n_pulses=4_000_000, seed=9))
         sigma = math.sqrt(expected * (1 - expected) / stats.sifted_bits)
         assert abs(stats.qber - expected) <= 4 * sigma + 0.01 * expected, (stats.qber, expected)
+
+    @MUELLER_CHANNELS
+    def test_session_counts_match_expected_rates(self, channel):
+        # Each count of a session is binomial in n_pulses with the per-pulse
+        # probability of the receiver law, at any physical channel and with
+        # the calibrated receiver's noise and intrinsic error.
+        cfg = SessionConfig(
+            **dict(
+                CALIBRATED_SESSION,
+                channel_mueller=channel,
+                channel_transmission=0.5,
+                n_pulses=4_000_000,
+                seed=9,
+            )
+        )
+        stats, _ = run_session(cfg)
+        for name, p in expected_rates(cfg).items():
+            assert_binomial(getattr(stats, name), cfg.n_pulses, p)
 
     def test_channel_output_intensity_scales_detection(self):
         # Noiseless arms: a pulse of state (basis, bit) is detected with

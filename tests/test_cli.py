@@ -130,7 +130,7 @@ class TestExitCodes:
                 "scenario": "bb84-run",
                 "session": {"n_pulses": 400_000, "qber_estimation_fraction": 1.0},
             },
-            {"scenario": "bb84-run", "session": {"sifting_factor": 0.5}},
+            {"scenario": "bb84-run", "session": {"detector_eficiency": 0.5}},
             dict(MC_DOC, n_photons=0),
             dict(MC_DOC, n_photons=2.7),
             dict(MC_DOC, n_workers=0),
@@ -162,6 +162,8 @@ class TestExitCodes:
             dict(SWEEP_DOC, sweep={"attenuations_per_m": ["0.11", "0.68"]}),
             dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], absorption_fraction="0.2")),
             dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], length_m="2.37")),
+            dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], absorption_fraction=3.5)),
+            dict(SWEEP_DOC, sweep=dict(SWEEP_DOC["sweep"], absorption_fraction=-0.1)),
             {
                 "scenario": "bb84-run",
                 "session": {"channel_transmission": 0.5, "attenuation": 0.68},
@@ -184,7 +186,7 @@ class TestExitCodes:
             "bb84-nonphysical-mueller",
             "bb84-amplifying-mueller",
             "bb84-estimation-fraction-of-one",
-            "bb84-sifting-factor",
+            "bb84-misspelled-session-key",
             "mc-zero-photons",
             "mc-fractional-photons",
             "mc-zero-workers",
@@ -216,6 +218,8 @@ class TestExitCodes:
             "sweep-string-attenuations",
             "sweep-string-absorption-fraction",
             "sweep-string-length",
+            "sweep-absorption-fraction-above-one",
+            "sweep-negative-absorption-fraction",
             "bb84-transmission-and-attenuation",
             "bb84-length-without-attenuation",
             "mueller-measurements-and-csv",

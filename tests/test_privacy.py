@@ -156,7 +156,7 @@ class TestPrivacyAmplify:
     def test_explicit_output_length(self):
         rng = np.random.default_rng(3)
         reconciled = rng.integers(0, 2, 1000, dtype=np.uint8)
-        assert len(privacy_amplify(reconciled, rng, output_length=64)) == 64
+        assert len(privacy_amplify(reconciled, rng, extraction_ratio=0.0645)) == 64
 
     def test_deterministic_for_fixed_rng_state(self):
         reconciled = np.random.default_rng(4).integers(0, 2, 1000, dtype=np.uint8)
@@ -167,13 +167,13 @@ class TestPrivacyAmplify:
     def test_cannot_stretch_the_key(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, output_length=101)
+            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, extraction_ratio=1.01)
 
     def test_negative_output_length(self):
         rng = np.random.default_rng(6)
         state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, output_length=-5)
+            privacy_amplify(np.zeros(100, dtype=np.uint8), rng, extraction_ratio=-0.05)
         assert rng.bit_generator.state == state  # no seed bits were drawn
 
     def test_empty_input_gives_empty_output(self):
